@@ -6,7 +6,11 @@ with unit propagation (a 1 forces 0 on all 2-section neighbors; a context with
 one undetermined vertex left forces it to 1; an all-0 context kills the
 branch). When the residual problem falls apart into independent components the
 engine solves them separately and combines, which is what makes the 108-vertex
-binding composition (2,239,488 states) enumerable in seconds.
+binding composition (2,239,488 states) enumerable in seconds. The counter also
+caches the count of every component it solves, keyed by the component's
+contexts and its undetermined vertices (the component caching of #SAT model
+counters), so a component met again in another branch costs one lookup. That
+counts the 378-vertex binding (about 5.9e23 states) in a fraction of a second.
 
 Bit conventions: a state is stored as one Python int whose binary digits read
 like a printed matrix row, i.e. column ``j`` (vertex ``j`` in declaration
@@ -18,7 +22,6 @@ order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -259,26 +262,46 @@ class _Problem:
         return best
 
     def components(self, zeros: int, active: Sequence[int]):
-        """Group unresolved contexts that share undetermined vertices."""
-        comps: list[tuple[int, list[int]]] = []
+        """Group unresolved contexts that share undetermined vertices.
+
+        Each group comes as ``(context bits, undetermined vertices, sorted
+        context indices)``; groups are ordered by their lowest context index.
+        """
+        comps: list[tuple[int, int, list[int]]] = []
         for ci in active:
             und = self.ctx_masks[ci] & ~zeros
-            merged_mask = und
-            merged_group = [ci]
+            bits = 1 << ci
+            group = [ci]
             rest = []
-            for mask, group in comps:
+            for mask, group_bits, members in comps:
                 if mask & und:
-                    merged_mask |= mask
-                    merged_group.extend(group)
+                    und |= mask
+                    bits |= group_bits
+                    group.extend(members)
                 else:
-                    rest.append((mask, group))
-            rest.append((merged_mask, merged_group))
+                    rest.append((mask, group_bits, members))
+            rest.append((und, bits, group))
             comps = rest
-        return [sorted(group) for _, group in sorted(comps, key=lambda mg: min(mg[1]))]
+        return [(bits, und, sorted(group))
+                for und, bits, group in sorted(comps, key=lambda c: min(c[2]))]
 
     # -- counting -------------------------------------------------------------
 
-    def count(self, ones: int = 0, zeros: int = 0, active: Optional[Sequence[int]] = None) -> int:
+    def count(
+        self,
+        memo: dict[tuple[int, int], int],
+        ones: int = 0,
+        zeros: int = 0,
+        active: Optional[Sequence[int]] = None,
+        progress: Optional[Callable[[int], None]] = None,
+    ) -> int:
+        """Number of states extending ``ones``/``zeros`` on ``active``.
+
+        ``memo`` caches the count of each residual component; one dict serves
+        one hypergraph and every branch of its search. With ``progress`` the
+        node is branched as a whole and the running total is reported after
+        each branch.
+        """
         if active is None:
             active = range(len(self.ctx_masks))
         res = self.propagate(ones, zeros, active)
@@ -287,14 +310,36 @@ class _Problem:
         ones, zeros, active = res
         if not active:
             return 1
-        comps = self.components(zeros, active)
-        if len(comps) > 1:
-            total = 1
-            for group in comps:
-                total *= self.count(ones, zeros, group)
-                if total == 0:
-                    return 0
-            return total
+        if progress:
+            return self._branch(memo, ones, zeros, active, progress)
+        total = 1
+        for group_bits, und, group in self.components(zeros, active):
+            # A group's count depends only on which of its vertices are still
+            # undetermined: none of them is true (its contexts are unresolved),
+            # and no undetermined vertex has a true neighbour, because setting
+            # a vertex true zeroes all its neighbours. So ``ones`` is left out
+            # of the key. For a fixed group, ``und`` is the union of its
+            # context masks minus ``zeros``, so it carries the same information
+            # as ``zeros`` restricted to that union.
+            key = (group_bits, und)
+            n = memo.get(key)
+            if n is None:
+                n = memo[key] = self._branch(memo, ones, zeros, group)
+            total *= n
+            if total == 0:
+                return 0
+        return total
+
+    def _branch(
+        self,
+        memo: dict[tuple[int, int], int],
+        ones: int,
+        zeros: int,
+        active: Sequence[int],
+        progress: Optional[Callable[[int], None]] = None,
+    ) -> int:
+        """Sum of the counts of each way to make one undetermined vertex of
+        the branching context true."""
         ci = self.branch_context(zeros, active)
         total = 0
         cand = self.ctx_masks[ci] & ~zeros
@@ -304,7 +349,9 @@ class _Problem:
             nz = self.nbr[low.bit_length() - 1] & ~zeros
             if nz & ones:
                 continue
-            total += self.count(ones | low, zeros | nz, active)
+            total += self.count(memo, ones | low, zeros | nz, active)
+            if progress:
+                progress(total)
         return total
 
     # -- row enumeration ------------------------------------------------------
@@ -327,7 +374,7 @@ class _Problem:
         comps = self.components(zeros, active)
         if len(comps) > 1:
             partials = [ones]
-            for group in comps:
+            for _, _, group in comps:
                 sub = self.rows(ones, zeros, group, limit)
                 if not sub:
                     return []
@@ -353,31 +400,6 @@ class _Problem:
                 )
         return out
 
-    def root_branches(self):
-        """Child seeds of the root node, for progress reporting and for
-        splitting the count across worker processes."""
-        res = self.propagate(0, 0, range(len(self.ctx_masks)))
-        if res is None:
-            return [], None
-        ones, zeros, active = res
-        if not active:
-            return [(ones, zeros)], []
-        ci = self.branch_context(zeros, active)
-        seeds = []
-        cand = self.ctx_masks[ci] & ~zeros
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nz = self.nbr[low.bit_length() - 1] & ~zeros
-            if nz & ones:
-                continue
-            seeds.append((ones | low, zeros | nz))
-        return seeds, active
-
-
-def _count_worker(args) -> int:
-    k, ctx_masks, nbr, ones, zeros, active = args
-    return _Problem(k, ctx_masks, nbr).count(ones, zeros, active)
 
 
 def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> TravisMatrix:
@@ -402,35 +424,12 @@ def count_states(
 ) -> int:
     """Number of two-valued states, without storing rows.
 
-    ``jobs`` > 1 splits the root branches over worker processes; the result is
-    identical to a serial run. ``progress`` is invoked with the running total
-    after each root branch completes.
+    Counting is serial and caches the count of every residual component for
+    the duration of the call. ``jobs`` is accepted for compatibility and does
+    not change the result. ``progress`` is invoked with the running total
+    after each branch of the root node.
     """
-    prob = _Problem.from_hypergraph(h)
-    if jobs <= 1 and progress is None:
-        return prob.count()
-    seeds, active = prob.root_branches()
-    if active is None:
-        return 0
-    if not active:
-        if progress:
-            progress(len(seeds))
-        return len(seeds)
-    total = 0
-    if jobs <= 1:
-        for ones, zeros in seeds:
-            total += prob.count(ones, zeros, active)
-            if progress:
-                progress(total)
-        return total
-    args = [(prob.k, prob.ctx_masks, prob.nbr, ones, zeros, tuple(active))
-            for ones, zeros in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for sub in pool.map(_count_worker, args):
-            total += sub
-            if progress:
-                progress(total)
-    return total
+    return _Problem.from_hypergraph(h).count({}, progress=progress)
 
 
 def default_jobs() -> int:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -118,6 +119,41 @@ class TestEnumerate:
         assert total == 3
         assert seen[-1] == 3
         assert seen == sorted(seen)
+
+
+class TestCount:
+    """Counts from the component-cached counter."""
+
+    def test_count_vs_brute_force_random(self):
+        rng = random.Random(2024)
+        for _ in range(25):
+            h = random_pasting(rng)
+            assert states.count_states(h) == len(brute_force_true_sets(h))
+
+    def test_count_vs_brute_force_contradictory(self):
+        h = core.build(CONTRADICTORY)
+        assert states.count_states(h) == len(brute_force_true_sets(h)) == 0
+
+    def test_count_invariant_under_shuffles(self, bind_bug):
+        # fixed context-and-member shuffles; without the component cache
+        # some of them took more than a second
+        for seed in range(4):
+            rng = random.Random(seed)
+            ctxs = [sorted(c) for c in bind_bug.contexts]
+            rng.shuffle(ctxs)
+            for c in ctxs:
+                rng.shuffle(c)
+            h = core.build([tuple(c) for c in ctxs])
+            start = time.perf_counter()
+            assert states.count_states(h) == 2239488, seed
+            elapsed = time.perf_counter() - start
+            assert elapsed <= 1.0, f"shuffle {seed} took {elapsed:.2f}s"
+
+    def test_progress_running_totals(self, bind_bug):
+        seen = []
+        assert states.count_states(bind_bug, jobs=2, progress=seen.append) == 2239488
+        assert seen == sorted(seen)
+        assert seen[-1] == 2239488
 
 
 class TestClassify:
