@@ -97,8 +97,7 @@ def _cmd_states(args) -> int:
 
 def _cmd_classify(args) -> int:
     h = _load_hypergraph(args.file)
-    t = states.enumerate_states(h)
-    c = states.classify(h, t)
+    c = states.classify(h, states.cotruth(h))
     rep = core.shape(h)
     semi: Optional[bool]
     try:
@@ -308,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", metavar="MATRIXFILE")
-    p.add_argument("--limit", type=int, default=None, help="abort past this many rows")
+    p.add_argument("--limit", type=int, default=None,
+                   help="abort past this many rows (replaces the row budget)")
     p.add_argument("--jobs", type=int, default=states.default_jobs())
     p.add_argument("--progress", action="store_true",
                    help="stream running counts to stderr")

@@ -30,7 +30,7 @@ class SubsetContextError(OhgError):
 # -- state enumeration and classification ------------------------------------
 
 class RowLimitExceededError(OhgError):
-    """Enumeration produced more states than the configured row limit."""
+    """A state table would have more rows than the row limit or budget."""
 
 
 class ColumnCountMismatchError(OhgError):

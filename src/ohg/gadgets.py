@@ -27,7 +27,7 @@ from .errors import (
     RankMismatchError,
     UnknownFixtureError,
 )
-from .states import TravisMatrix, enumerate_states, gadget_scan
+from .states import TravisMatrix, cotruth, gadget_scan
 
 FIXTURE_NAMES = (
     "k3",
@@ -68,8 +68,9 @@ class Fixture:
 class BindSpec:
     """A gadget with verified (head, tail) true-implies-false terminals.
 
-    Construction enumerates the gadget's states and refuses adjacent
-    terminals or pairs that some state makes jointly true.
+    Construction counts the gadget's pairwise co-truths, without a state
+    table, and refuses adjacent terminals or pairs that some state makes
+    jointly true.
     """
 
     gadget: Hypergraph
@@ -86,7 +87,7 @@ class BindSpec:
             raise AdjacentTerminalsError(
                 f"terminals {self.head!r} and {self.tail!r} are adjacent"
             )
-        scan = gadget_scan(self.gadget, enumerate_states(self.gadget))
+        scan = gadget_scan(self.gadget, cotruth(self.gadget))
         if (self.head, self.tail) not in scan.tifs_pairs:
             raise NotATifsPairError(
                 f"({self.head!r}, {self.tail!r}) is not a true-implies-false pair"

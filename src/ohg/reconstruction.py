@@ -15,7 +15,7 @@ from typing import Optional
 from . import core
 from .core import Graph, Hypergraph
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
-from .states import TravisMatrix, enumerate_states
+from .states import CoTruth, TravisMatrix, cotruth
 
 _EQUIV_COLUMN_CAP = 32
 _EQUIV_NODE_BUDGET = 10 ** 6
@@ -49,7 +49,7 @@ class Verdict:
         return self.kind == "reconstructable"
 
 
-def adjacency_from_states(t: TravisMatrix) -> Graph:
+def adjacency_from_states(t: TravisMatrix | CoTruth) -> Graph:
     """The graph the adjacency criterion induces: an edge wherever two
     columns are never jointly 1.
 
@@ -74,7 +74,7 @@ def adjacency_from_states(t: TravisMatrix) -> Graph:
 
 
 def reconstruct(
-    t: TravisMatrix,
+    t: TravisMatrix | CoTruth,
     n: int,
     source: Optional[Hypergraph] = None,
 ) -> ReconstructionResult:
@@ -116,9 +116,10 @@ def evaluate(
     number used by the completion filter. Only the canonical reconstruction
     is tested, which is sound but does not quantify over every
     table-equivalent hypergraph. Non-unital input propagates
-    :class:`AllZeroColumnError`.
+    :class:`AllZeroColumnError`. Everything is decided from the co-truth
+    counts of :func:`~ohg.states.cotruth`, so no state table is built.
     """
-    t = enumerate_states(h)
+    t = cotruth(h)
     if t.n_rows == 0:
         return Verdict("empty"), None
     cooc = t.cooc

@@ -12,6 +12,15 @@ contexts and its undetermined vertices (the component caching of #SAT model
 counters), so a component met again in another branch costs one lookup. That
 counts the 378-vertex binding (about 5.9e23 states) in a fraction of a second.
 
+The same branching loop runs with one of two ways of combining results:
+plain counts (:func:`count_states`), or counts together with per-vertex true
+counts and pairwise co-truth counts (:func:`cotruth`). The pairwise analyses
+(classification, gadget scans and profiles, reconstruction by the adjacency
+criterion) need nothing else, so they run without a state table, on the
+378-vertex binding too. Only row-level work enumerates: :func:`enumerate_states`
+for the state matrix, the paper's row selection and the relaxed colouring.
+It counts first and refuses a table above :data:`ROW_BUDGET` rows.
+
 Bit conventions: a state is stored as one Python int whose binary digits read
 like a printed matrix row, i.e. column ``j`` (vertex ``j`` in declaration
 order) sits at bit ``k - 1 - j``. Sorting these ints descending therefore
@@ -21,6 +30,7 @@ order.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +47,10 @@ from .errors import (
 )
 
 _COOC_CHUNK = 65536
+
+# Largest state table enumerate_states builds unless given a row limit: bind(bug)
+# (2,239,488 rows) fits, bind(fig4) (about 5.9e23) is refused before any row.
+ROW_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -165,6 +179,38 @@ class TravisMatrix:
         return f"TravisMatrix({self.n_rows} states x {self.n_cols} vertices)"
 
 
+@dataclass(frozen=True, eq=False)
+class CoTruth:
+    """State count and pairwise co-truth counts, without the rows.
+
+    ``cooc[i, j]`` is the number of states making columns ``i`` and ``j``
+    both true, and the diagonal holds the column sums, as in
+    :attr:`TravisMatrix.cooc`; the entries are exact Python ints, because
+    counts pass 2**63. The pairwise analyses (:func:`classify`,
+    :func:`gadget_scan`, :func:`gadget_profile` and the reconstruction)
+    accept it in place of a table.
+    """
+
+    vertices: tuple[str, ...]
+    nts: int
+    cooc: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.nts
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def column_sums(self) -> np.ndarray:
+        return np.diagonal(self.cooc)
+
+    def __repr__(self) -> str:
+        return f"CoTruth({self.nts} states x {self.n_cols} vertices)"
+
+
 @dataclass(frozen=True)
 class StateClassification:
     """Separability-style verdicts over a complete state table."""
@@ -239,10 +285,8 @@ class _Problem:
                     return None
                 if rem & (rem - 1) == 0:
                     ones |= rem
-                    nz = nbr[rem.bit_length() - 1] & ~zeros
-                    if nz & ones:
-                        return None
-                    zeros |= nz
+                    # rem has no true neighbour: a true vertex zeroes them all
+                    zeros |= nbr[rem.bit_length() - 1]
                     changed = True
                 else:
                     remaining.append(ci)
@@ -287,34 +331,44 @@ class _Problem:
 
     # -- counting -------------------------------------------------------------
 
-    def count(
+    def solve(
         self,
-        memo: dict[tuple[int, int], int],
+        alg,
+        memo: dict,
         ones: int = 0,
+        fresh: int = 0,
         zeros: int = 0,
         active: Optional[Sequence[int]] = None,
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """Number of states extending ``ones``/``zeros`` on ``active``.
+        progress: Optional[Callable] = None,
+    ):
+        """``alg``'s result over the states extending ``ones | fresh`` and
+        ``zeros`` on ``active``.
 
-        ``memo`` caches the count of each residual component; one dict serves
-        one hypergraph and every branch of its search. With ``progress`` the
-        node is branched as a whole and the running total is reported after
-        each branch.
+        The algebra combines results: ``alg.zero`` (falsy) stands for no
+        state, ``alg.node(forced, parts)`` for independent parts under
+        vertices true in every state, ``alg.add(results)`` for the branches
+        of one context. The vertices of ``ones`` lie outside the result;
+        ``fresh`` and every vertex propagation forces here are ``forced``.
+        ``memo`` caches the result of each residual component; one dict serves
+        one hypergraph, one algebra and every branch of the search. With
+        ``progress`` the node is branched as a whole and the running result is
+        reported after each branch.
         """
         if active is None:
             active = range(len(self.ctx_masks))
-        res = self.propagate(ones, zeros, active)
+        res = self.propagate(ones | fresh, zeros, active)
         if res is None:
-            return 0
-        ones, zeros, active = res
+            return alg.zero
+        now, zeros, active = res
+        forced = now & ~ones
         if not active:
-            return 1
+            return alg.node(forced, [])
         if progress:
-            return self._branch(memo, ones, zeros, active, progress)
-        total = 1
+            whole = self._branch(alg, memo, now, zeros, active, progress)
+            return alg.node(forced, [whole])
+        parts = []
         for group_bits, und, group in self.components(zeros, active):
-            # A group's count depends only on which of its vertices are still
+            # A group's result depends only on which of its vertices are still
             # undetermined: none of them is true (its contexts are unresolved),
             # and no undetermined vertex has a true neighbour, because setting
             # a vertex true zeroes all its neighbours. So ``ones`` is left out
@@ -322,37 +376,37 @@ class _Problem:
             # context masks minus ``zeros``, so it carries the same information
             # as ``zeros`` restricted to that union.
             key = (group_bits, und)
-            n = memo.get(key)
-            if n is None:
-                n = memo[key] = self._branch(memo, ones, zeros, group)
-            total *= n
-            if total == 0:
-                return 0
-        return total
+            part = memo.get(key)
+            if part is None:
+                part = memo[key] = self._branch(alg, memo, now, zeros, group)
+            if not part:
+                return alg.zero
+            parts.append(part)
+        return alg.node(forced, parts)
 
     def _branch(
         self,
-        memo: dict[tuple[int, int], int],
+        alg,
+        memo: dict,
         ones: int,
         zeros: int,
         active: Sequence[int],
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """Sum of the counts of each way to make one undetermined vertex of
+        progress: Optional[Callable] = None,
+    ):
+        """Sum of the results of each way to make one undetermined vertex of
         the branching context true."""
         ci = self.branch_context(zeros, active)
-        total = 0
+        results = []
         cand = self.ctx_masks[ci] & ~zeros
         while cand:
             low = cand & -cand
             cand ^= low
-            nz = self.nbr[low.bit_length() - 1] & ~zeros
-            if nz & ones:
-                continue
-            total += self.count(memo, ones | low, zeros | nz, active)
+            # no conflict test: an undetermined vertex never has a true neighbour
+            zs = zeros | self.nbr[low.bit_length() - 1]
+            results.append(self.solve(alg, memo, ones, low, zs, active))
             if progress:
-                progress(total)
-        return total
+                progress(alg.add(results))
+        return alg.add(results)
 
     # -- row enumeration ------------------------------------------------------
 
@@ -361,7 +415,6 @@ class _Problem:
         ones: int = 0,
         zeros: int = 0,
         active: Optional[Sequence[int]] = None,
-        limit: Optional[int] = None,
     ) -> list[int]:
         if active is None:
             active = range(len(self.ctx_masks))
@@ -375,13 +428,9 @@ class _Problem:
         if len(comps) > 1:
             partials = [ones]
             for _, _, group in comps:
-                sub = self.rows(ones, zeros, group, limit)
+                sub = self.rows(ones, zeros, group)
                 if not sub:
                     return []
-                if limit is not None and len(partials) * len(sub) > limit:
-                    raise RowLimitExceededError(
-                        f"state enumeration exceeded the row limit of {limit}"
-                    )
                 partials = [p | s for p in partials for s in sub]
             return partials
         ci = self.branch_context(zeros, active)
@@ -390,28 +439,120 @@ class _Problem:
         while cand:
             low = cand & -cand
             cand ^= low
-            nz = self.nbr[low.bit_length() - 1] & ~zeros
-            if nz & ones:
-                continue
-            out.extend(self.rows(ones | low, zeros | nz, active, limit))
-            if limit is not None and len(out) > limit:
-                raise RowLimitExceededError(
-                    f"state enumeration exceeded the row limit of {limit}"
-                )
+            # no conflict test: an undetermined vertex never has a true neighbour
+            zs = zeros | self.nbr[low.bit_length() - 1]
+            out.extend(self.rows(ones | low, zs, active))
         return out
 
+
+class _Count:
+    """Plain counting: a result is the number of states."""
+
+    zero = 0
+
+    @staticmethod
+    def node(forced: int, parts: list[int]) -> int:
+        return math.prod(parts)
+
+    @staticmethod
+    def add(results: list[int]) -> int:
+        return sum(results)
+
+
+class _CoTruthSum:
+    """Co-truth counting: a result is ``None`` when there is no state, else
+    ``(n, scope, m)``.
+
+    ``n`` is the number of states, ``scope`` a bitmask holding every vertex
+    they may set true, and ``m`` an object array of exact ints over the
+    columns of ``scope`` in ascending order: ``m[a, b]`` counts the states
+    making both columns true, and the diagonal holds the true counts.
+    """
+
+    zero = None
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def columns(self, mask: int) -> np.ndarray:
+        """Ascending column indices of the bits of ``mask``."""
+        digits = np.frombuffer(format(mask, f"0{self.k}b").encode(), dtype=np.uint8)
+        return np.flatnonzero(digits == ord("1"))
+
+    def node(self, forced: int, parts: list[tuple]) -> tuple:
+        """Independent parts under vertices true in every state.
+
+        With ``n`` the product of the part counts, a forced column is true
+        in all ``n`` states and column ``a`` of part ``i`` in
+        ``n / n_i * m_i[a, a]``, so those are also their co-truth counts
+        with the forced columns. Columns ``a``, ``b`` of one part are jointly
+        true in ``n / n_i * m_i[a, b]`` states, of parts ``i != j`` in
+        ``n / (n_i * n_j) * m_i[a, a] * m_j[b, b]``.
+        """
+        if not forced and len(parts) == 1:
+            return parts[0]
+        n = math.prod(p[0] for p in parts)
+        scope = forced
+        for _, part_scope, _ in parts:
+            scope |= part_scope
+        cols = self.columns(scope)
+        m = np.empty((len(cols), len(cols)), dtype=object)
+        f = np.searchsorted(cols, self.columns(forced))
+        m[np.ix_(f, f)] = n
+        placed = []
+        for part_n, part_scope, part_m in parts:
+            idx = np.searchsorted(cols, self.columns(part_scope))
+            rest = n // part_n
+            m[np.ix_(idx, idx)] = part_m * rest if rest > 1 else part_m
+            diag = np.diagonal(part_m)
+            true_counts = diag * rest
+            m[np.ix_(f, idx)] = true_counts
+            m[np.ix_(idx, f)] = true_counts[:, None]
+            for idx2, diag2, n2 in placed:
+                block = np.multiply.outer(diag * (rest // n2), diag2)
+                m[np.ix_(idx, idx2)] = block
+                m[np.ix_(idx2, idx)] = block.T
+            placed.append((idx, diag, part_n))
+        return n, scope, m
+
+    def add(self, results: list) -> Optional[tuple]:
+        """Branches of one context: counts and co-truth matrices add up."""
+        results = [r for r in results if r is not None]
+        if len(results) <= 1:
+            return results[0] if results else None
+        scope = 0
+        for _, part_scope, _ in results:
+            scope |= part_scope
+        cols = self.columns(scope)
+        m = np.zeros((len(cols), len(cols)), dtype=object)
+        for i, (_, part_scope, part_m) in enumerate(results):
+            idx = np.searchsorted(cols, self.columns(part_scope))
+            if i:
+                m[np.ix_(idx, idx)] += part_m
+            else:
+                m[np.ix_(idx, idx)] = part_m
+        return sum(r[0] for r in results), scope, m
 
 
 def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> TravisMatrix:
     """All two-valued states of ``h`` as a canonically ordered matrix.
 
     A hypergraph admitting no state at all (the Kochen-Specker situation)
-    yields an empty matrix, not an error. ``row_limit`` caps memory: going
-    past it raises :class:`RowLimitExceededError`; use :func:`count_states`
-    when only the number is needed.
+    yields an empty matrix, not an error. The states are counted first, and
+    a table of more than ``row_limit`` rows (default :data:`ROW_BUDGET`) is
+    refused with :class:`RowLimitExceededError` before any row is built. Use
+    :func:`count_states` when only the number is needed and :func:`cotruth`
+    when only the pairwise counts are.
     """
     prob = _Problem.from_hypergraph(h)
-    rows = prob.rows(limit=row_limit)
+    limit, what = ((ROW_BUDGET, "row budget") if row_limit is None
+                   else (row_limit, "row limit"))
+    n = prob.solve(_Count, {})
+    if n > limit:
+        raise RowLimitExceededError(
+            f"the state table would have {n} rows, above the {what} of {limit}"
+        )
+    rows = prob.rows()
     rows.sort(reverse=True)
     return TravisMatrix(h.vertices, tuple(rows))
 
@@ -429,7 +570,27 @@ def count_states(
     not change the result. ``progress`` is invoked with the running total
     after each branch of the root node.
     """
-    return _Problem.from_hypergraph(h).count({}, progress=progress)
+    return _Problem.from_hypergraph(h).solve(_Count, {}, progress=progress)
+
+
+def cotruth(h: Hypergraph) -> CoTruth:
+    """State count and pairwise co-truth counts of ``h``, without a table.
+
+    One pass of the component-cached counter carries, for every component,
+    its count and its co-truth matrix (see :class:`_CoTruthSum`), so the
+    378-vertex binding (about 5.9e23 states) is analysed in seconds. The
+    result equals ``enumerate_states(h).cooc`` entry for entry.
+    """
+    k = len(h.vertices)
+    alg = _CoTruthSum(k)
+    res = _Problem.from_hypergraph(h).solve(alg, {})
+    cooc = np.zeros((k, k), dtype=object)
+    if res is None:
+        return CoTruth(h.vertices, 0, cooc)
+    n, scope, m = res
+    cols = alg.columns(scope)
+    cooc[np.ix_(cols, cols)] = m
+    return CoTruth(h.vertices, n, cooc)
 
 
 def default_jobs() -> int:
@@ -440,8 +601,9 @@ def default_jobs() -> int:
         return 1
 
 
-def classify(h: Hypergraph, t: TravisMatrix) -> StateClassification:
-    """Unitality and the separability ladder over a complete state table.
+def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
+    """Unitality and the separability ladder over a complete state table or
+    its co-truth counts (:func:`cotruth`).
 
     Separable: every two columns differ in some row. Perfectly separable:
     additionally each ordered pair is distinguished in both directions and
@@ -484,8 +646,9 @@ def classify(h: Hypergraph, t: TravisMatrix) -> StateClassification:
     )
 
 
-def gadget_scan(h: Hypergraph, t: TravisMatrix) -> GadgetScan:
-    """True-implies-false and true-implies-true pairs of the state table.
+def gadget_scan(h: Hypergraph, t: TravisMatrix | CoTruth) -> GadgetScan:
+    """True-implies-false and true-implies-true pairs of the state table or
+    of its co-truth counts.
 
     TIFS pairs are restricted to non-adjacent vertices: adjacency forbids
     co-truth trivially and would flood the output. TITS pairs require the
@@ -514,7 +677,7 @@ def gadget_scan(h: Hypergraph, t: TravisMatrix) -> GadgetScan:
     return GadgetScan(frozenset(tifs), frozenset(tits))
 
 
-def gadget_profile(t: TravisMatrix, head: str, tail: str) -> GadgetProfile:
+def gadget_profile(t: TravisMatrix | CoTruth, head: str, tail: str) -> GadgetProfile:
     """Count states with head true / tail true / both false.
 
     Raises :class:`NotAGadgetPairError` if some state sets both to 1 (the

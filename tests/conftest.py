@@ -63,6 +63,12 @@ def bind_bug():
 
 
 @pytest.fixture(scope="session")
+def bind_fig4():
+    spec = gadgets.BindSpec(gadgets.fixture("fig4").hypergraph, "a1", "a11")
+    return gadgets.bind(spec)
+
+
+@pytest.fixture(scope="session")
 def bind_bug_matrix(bind_bug):
     return states.enumerate_states(bind_bug)
 

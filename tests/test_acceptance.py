@@ -15,8 +15,9 @@ import pytest
 
 from ohg import coloring, core, gadgets, states
 from ohg.errors import AllZeroColumnError
-from ohg.gadgets import BindSpec, bind, predicted_bind_count
+from ohg.gadgets import predicted_bind_count
 from ohg.geometry import VectorLabeling, verify_for
+from ohg.reconstruction import evaluate as evaluate_reconstruction
 from ohg.reconstruction import reconstruct, travis_equivalent, verdict
 
 from conftest import brute_force_true_sets, engine_true_sets, random_pasting
@@ -83,7 +84,7 @@ def test_criterion_3_gadget_profiles():
     _report(3, "profiles (3,3,8) and (45,504,2040); exact big-integer products")
 
 
-def test_criterion_4_binding_enumeration(bind_bug):
+def test_criterion_4_binding_enumeration(bind_bug, bind_fig4):
     assert len(bind_bug.vertices) == 108
     assert len(bind_bug.contexts) == 66
     start = time.perf_counter()
@@ -93,7 +94,7 @@ def test_criterion_4_binding_enumeration(bind_bug):
     assert elapsed <= 120.0, f"count-only took {elapsed:.2f}s"
     # the composition of the 43-vertex gadget is counted exactly, though its
     # state table (about 5.9e23 rows) cannot be enumerated
-    big = bind(BindSpec(gadgets.fixture("fig4").hypergraph, "a1", "a11"))
+    big = bind_fig4
     assert len(big.vertices) == 378
     assert len(big.contexts) == 228
     start = time.perf_counter()
@@ -122,6 +123,28 @@ def test_criterion_5_reconstruction(bind_bug, bind_bug_matrix):
     assert set(v.extra_contexts) == corners
     _report(5, "bug and pentagon reconstructable; binding shows exactly the "
                "three corner triples as extra structure")
+
+
+def test_criterion_5b_big_binding_counterexample(bind_fig4):
+    # the 378-vertex binding's table (about 5.9e23 rows) is never built: the
+    # pairwise co-truth counts come from the component-cached counter
+    start = time.perf_counter()
+    v, rec = evaluate_reconstruction(bind_fig4)
+    rec_elapsed = time.perf_counter() - start
+    corners = {frozenset(c) for c in gadgets.bind_corners()}
+    assert v.kind == "extra_structure"
+    assert set(v.extra_contexts) == corners
+    assert rec.missing_contexts == ()
+    assert rec_elapsed <= 30.0, f"reconstruction took {rec_elapsed:.2f}s"
+    start = time.perf_counter()
+    c = states.classify(bind_fig4, states.cotruth(bind_fig4))
+    cls_elapsed = time.perf_counter() - start
+    assert c.nts == BIG_BIND_COUNT
+    assert c.unital and c.separable and not c.perfectly_separable
+    assert cls_elapsed <= 30.0, f"classification took {cls_elapsed:.2f}s"
+    _report(5, f"378-vertex binding: the three corner triples are the extra "
+               f"structure ({rec_elapsed:.2f}s); nTS = {c.nts} from co-truth "
+               f"counts ({cls_elapsed:.2f}s), no state table")
 
 
 def test_criterion_6_coloring():

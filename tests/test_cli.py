@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +125,45 @@ class TestReconstruct:
     def test_n_override(self, capsys, bug_file):
         code, out, _ = run(capsys, "reconstruct", bug_file, "--n", "3")
         assert code == 0 and "reconstructable" in out
+
+
+class TestRowBudget:
+    """Commands that need the state table refuse an oversized one early."""
+
+    @pytest.fixture
+    def bind_fig4_file(self, tmp_path, bind_fig4):
+        path = tmp_path / "bind_fig4.ohg"
+        path.write_text(write_ohg(bind_fig4))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["color", "{}", "--n", "3"],
+        ["color", "{}", "--n", "3", "--algorithm", "relaxed"],
+        ["states", "{}"],
+    ])
+    def test_refused_in_seconds(self, bind_fig4_file, argv):
+        # a subprocess under a 1 GiB address-space cap, so that a missing
+        # budget check fails the test instead of exhausting memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "ohg.cli",
+             *(a.format(bind_fig4_file) for a in argv)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        )
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 2, result.stderr
+        assert "row budget" in result.stderr
+        assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
+
+    def test_limit_overrides_budget(self, capsys, bug_file, monkeypatch):
+        monkeypatch.setattr(states, "ROW_BUDGET", 5)
+        code, _, err = run(capsys, "states", bug_file)
+        assert code == 2 and "row budget of 5" in err
+        code, out, _ = run(capsys, "states", bug_file, "--limit", "14")
+        assert code == 0 and parse_matrix(out).n_rows == 14
 
 
 class TestColor:

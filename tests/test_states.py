@@ -1,7 +1,10 @@
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohg import core, gadgets, states
 from ohg.errors import (
@@ -154,6 +157,90 @@ class TestCount:
         assert states.count_states(bind_bug, jobs=2, progress=seen.append) == 2239488
         assert seen == sorted(seen)
         assert seen[-1] == 2239488
+
+
+def _same_counts(c: states.CoTruth, t: states.TravisMatrix) -> None:
+    assert c.vertices == t.vertices
+    assert c.nts == t.n_rows
+    assert c.cooc.shape == t.cooc.shape
+    assert c.cooc.tolist() == t.cooc.tolist()
+
+
+def _relabel(h: core.Hypergraph, names, order) -> tuple[core.Hypergraph, dict]:
+    """``h`` with vertex ``i`` renamed ``w<names[i]>``, its contexts in
+    ``order`` and each context's members sorted by new name, so the column
+    order changes too."""
+    rename = {v: f"w{names[i]}" for i, v in enumerate(h.vertices)}
+    ctxs = [sorted((rename[v] for v in h.contexts[c]), key=lambda w: int(w[1:]))
+            for c in order]
+    return core.build(ctxs), rename
+
+
+@st.composite
+def relabelled(draw):
+    if draw(st.booleans()):
+        h = gadgets.fixture(draw(st.sampled_from(
+            ("k3", "triangle", "pentagon", "bug", "g32", "g32x", "underlying",
+             "fig4")))).hypergraph
+    else:
+        h = random_pasting(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    names = draw(st.permutations(range(len(h.vertices))))
+    order = draw(st.permutations(range(len(h.contexts))))
+    return (h, *_relabel(h, names, order))
+
+
+class TestCoTruth:
+    """Co-truth counts from the counter against the enumerated table."""
+
+    @pytest.mark.parametrize("name", [
+        n for n in gadgets.FIXTURE_NAMES if gadgets.fixture(n).hypergraph
+    ])
+    def test_matches_table_fixtures(self, name):
+        h = gadgets.fixture(name).hypergraph
+        _same_counts(states.cotruth(h), states.enumerate_states(h))
+
+    def test_matches_table_bind_bug(self, bind_bug, bind_bug_matrix):
+        c = states.cotruth(bind_bug)
+        _same_counts(c, bind_bug_matrix)
+        assert c.cooc.dtype == object
+        assert all(type(x) is int for x in c.cooc.ravel())
+
+    def test_matches_table_random(self):
+        rng = random.Random(2024)
+        for _ in range(25):
+            h = random_pasting(rng)
+            _same_counts(states.cotruth(h), states.enumerate_states(h))
+
+    def test_contradictory(self):
+        h = core.build(CONTRADICTORY)
+        c = states.cotruth(h)
+        assert c.nts == 0
+        assert not c.cooc.any()
+        _same_counts(c, states.enumerate_states(h))
+
+    def test_compared_by_identity(self, bug):
+        c = states.cotruth(bug)
+        assert c == c and c != states.cotruth(bug) and hash(c) == hash(c)
+
+    def test_fig4_profile(self, fig4):
+        p = states.gadget_profile(states.cotruth(fig4), "a1", "a11")
+        assert (p.n_a, p.n_b, p.n_n) == (45, 504, 2040)
+
+    def test_analyses_agree_with_table(self, bug, pentagon, g32):
+        for h in (bug, pentagon, g32):
+            c, t = states.cotruth(h), states.enumerate_states(h)
+            assert states.classify(h, c) == states.classify(h, t)
+            assert states.gadget_scan(h, c) == states.gadget_scan(h, t)
+
+    @given(relabelled())
+    @settings(max_examples=40, deadline=None)
+    def test_relabelling_invariance(self, case):
+        h, h2, rename = case
+        assert states.count_states(h2) == states.count_states(h)
+        c, c2 = states.cotruth(h), states.cotruth(h2)
+        assert c2.nts == c.nts
+        cols = [h2.index[rename[v]] for v in h.vertices]
+        assert c2.cooc[np.ix_(cols, cols)].tolist() == c.cooc.tolist()
 
 
 class TestClassify:
