@@ -2,23 +2,27 @@
 
 Reports go to stdout, diagnostics and progress to stderr. Exit codes:
 0 success, 1 negative verdict (no coloring, not reconstructable, labeling
-rejected), 2 usage or input error. ``--format json`` makes every report
-machine readable with the stable keys
-{vertices, contexts, nTS, verdicts, rows, extraContexts} where applicable.
+rejected), 2 usage or input error (also a ``--out`` file that cannot be
+written). ``--format json`` makes every report machine readable with the
+stable keys {vertices, contexts, nTS, verdicts, rows, extraContexts} where
+applicable. State matrices are written in chunks of a few thousand rows; when
+the reader of standard output closes the pipe early, the command stops
+quietly with exit code 141, as a program killed by SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import coloring as coloring_mod
 from . import core, gadgets, geometry, states
 from .errors import OhgError, SizeLimitError
-from .formats import parse_ohg, parse_vectors, write_matrix, write_ohg
+from .formats import matrix_chunks, parse_ohg, parse_vectors, write_ohg
 from .reconstruction import evaluate as reconstruction_evaluate
 
 _DOT_PALETTE = (
@@ -42,8 +46,18 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _rows_as_strings(t: states.TravisMatrix) -> list[str]:
-    return ["".join(str(b) for b in t.row_bits(r)) for r in range(t.n_rows)]
+def _json_with_rows(payload: dict, t: states.TravisMatrix) -> Iterator[str]:
+    """``_emit_json({**payload, "rows": [row digit strings]})`` in chunks."""
+    text = json.dumps({**payload, "rows": []}, indent=2) + "\n"
+    if not t.n_rows:
+        yield text
+        return
+    yield text[:-len("[]\n}\n")] + "["
+    for i, bits in enumerate(states._bit_blocks(t.rows, t.n_cols)):
+        digits = (bits + ord("0")).view(f"S{t.n_cols}").ravel().tolist()
+        rows = b'",\n    "'.join(digits).decode("ascii")
+        yield (",\n    " if i else "\n    ") + '"' + rows + '"'
+    yield "\n  ]\n}\n"
 
 
 def _dot_structure(h: core.Hypergraph, fills: Optional[dict[str, int]] = None) -> str:
@@ -82,16 +96,18 @@ def _cmd_states(args) -> int:
         return 0
     t = states.enumerate_states(h, row_limit=args.limit)
     if args.out:
-        Path(args.out).write_text(write_matrix(t))
+        # opened only now, so that a refused table leaves no file behind
+        try:
+            with open(args.out, "w") as f:
+                f.writelines(matrix_chunks(t))
+        except OSError as exc:
+            raise OhgError(f"cannot write {args.out}: {exc}") from None
         print(t.n_rows)
     elif args.format == "json":
-        _emit_json({
-            "vertices": list(h.vertices),
-            "nTS": t.n_rows,
-            "rows": _rows_as_strings(t),
-        })
+        payload = {"vertices": list(h.vertices), "nTS": t.n_rows}
+        sys.stdout.writelines(_json_with_rows(payload, t))
     else:
-        sys.stdout.write(write_matrix(t))
+        sys.stdout.writelines(matrix_chunks(t))
     return 0
 
 
@@ -218,7 +234,7 @@ def _cmd_gadget(args) -> int:
     if args.travis:
         if fx.travis is None:
             raise OhgError(f"fixture {args.name!r} has no reference state table")
-        sys.stdout.write(write_matrix(fx.travis))
+        sys.stdout.writelines(matrix_chunks(fx.travis))
         return 0
     if fx.hypergraph is None:
         raise OhgError(
@@ -382,10 +398,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except OhgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone (``ohg states big.ohg | head``). Point
+        # stdout at /dev/null so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

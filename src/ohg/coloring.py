@@ -15,6 +15,7 @@ from typing import Optional
 from . import core
 from .core import Graph, Hypergraph
 from .errors import (
+    ColumnCountMismatchError,
     DisconnectedError,
     NotAStateError,
     NotDominatingError,
@@ -365,35 +366,46 @@ def relaxed_coloring(
     chromatic oracle. Returns ``None`` when ``max_colors`` runs out or no
     progress is possible.
     """
-    idx = h.index
-    nbr = h.neighbor_masks
-    rows = [t.row_true_set(r) for r in range(t.n_rows)]
-    uncolored = set(h.vertices)
+    if sorted(t.vertices) != sorted(h.vertices):
+        raise ColumnCountMismatchError(
+            "state table columns do not match the hypergraph's vertices"
+        )
+    k = t.n_cols
+    # neighbour masks in the rows' bit convention: the vertex in column j of
+    # the table sits at bit k-1-j, and nbr is indexed by that bit
+    bit = [k - 1 - t.vertices.index(v) for v in h.vertices]
+    nbr = [0] * k
+    for i, m in enumerate(h.neighbor_masks):
+        for u in _bits(m):
+            nbr[bit[i]] |= 1 << bit[u]
+    uncolored = (1 << k) - 1
     color_of: dict[str, int] = {}
     for color in range(1, max_colors + 1):
         if not uncolored:
             break
-        current: set[str] = set()
-        current_mask = 0
-        for true_set in rows:
-            contribution = true_set & uncolored
-            if not contribution:
+        # the class and the union of its members' neighbourhoods
+        current = around = 0
+        for row in t.rows:
+            add = row & uncolored
+            # Absorb unless some added vertex has a neighbour in current | add.
+            # Adjacency is symmetric: a neighbour in current shows as a bit
+            # of add inside ``around``. A state's true vertices are pairwise
+            # non-adjacent, so only rows that are absorbed (at most k per
+            # colour) or are not states reach the loop below.
+            if not add or add & around:
                 continue
-            add_mask = sum(1 << idx[v] for v in contribution)
-            conflict = False
-            for v in contribution:
-                if nbr[idx[v]] & ((current_mask | add_mask) & ~(1 << idx[v])):
-                    conflict = True
-                    break
-            if conflict:
+            around_add = 0
+            for b in _bits(add):
+                around_add |= nbr[b]
+            if around_add & add:
                 continue
-            current |= contribution
-            current_mask |= add_mask
-            uncolored -= contribution
+            current |= add
+            around |= around_add
+            uncolored &= ~add
         if not current:
             return None
-        for v in current:
-            color_of[v] = color
+        for j in _bits(current):
+            color_of[t.vertices[k - 1 - j]] = color
     if uncolored:
         return None
     return Coloring(h, color_of)

@@ -8,14 +8,25 @@ vertex: ``name: c1 c2 ... cn``.
 
 Writers emit a canonical form (context members in vertex declaration order),
 so canonical files round-trip byte-identically modulo comments.
+
+The matrix writer formats rows in blocks of a few thousand: each block is
+unpacked into a 0/1 byte array and laid out as text by array operations, not
+digit by digit. :func:`matrix_chunks` yields the text block by block, so a
+caller can write a multi-million-row table (the 2,239,488 x 108 matrix of
+the binding of the bug, 484 MB of text) with memory bounded by one block;
+``ohg states --out`` and the matrix on standard output are written that way.
 """
 
 from __future__ import annotations
 
+from typing import Iterator, Optional
+
+import numpy as np
+
 from .core import Hypergraph, build
 from .errors import ParseError
 from .geometry import VectorLabeling
-from .states import TravisMatrix
+from .states import _WRITE_BLOCK, TravisMatrix, _bit_blocks
 
 
 def _content_lines(text: str) -> list[str]:
@@ -63,11 +74,35 @@ def parse_matrix(text: str) -> TravisMatrix:
         raise ParseError(str(exc)) from None
 
 
-def write_matrix(t: TravisMatrix) -> str:
-    out = ["vertices: " + " ".join(t.vertices)]
-    for r in range(t.n_rows):
-        out.append(" ".join(str(b) for b in t.row_bits(r)))
-    return "\n".join(out) + "\n"
+def _matrix_lines(bits: np.ndarray) -> str:
+    """Rows of 0/1 entries as matrix-file lines: digits at the even byte
+    positions, spaces between them and a newline last."""
+    n, k = bits.shape
+    out = np.full((n, 2 * k), ord(" "), dtype=np.uint8)
+    out[:, 0::2] = bits + ord("0")
+    out[:, -1] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
+def write_matrix(t: TravisMatrix, start: int = 0, stop: Optional[int] = None) -> str:
+    """The matrix-file text of ``t``: the ``vertices:`` header, then one line
+    of space-separated 0/1 digits per row.
+
+    Given ``start``/``stop``, only rows ``start:stop`` are written, and the
+    header only when ``start`` is 0, so consecutive slices concatenate to the
+    whole text. Rows are formatted a block at a time; to write a large table
+    without holding all of its text, use :func:`matrix_chunks`.
+    """
+    head = "vertices: " + " ".join(t.vertices) + "\n" if start == 0 else ""
+    blocks = _bit_blocks(t.rows[start:stop], t.n_cols)
+    return head + "".join(_matrix_lines(bits) for bits in blocks)
+
+
+def matrix_chunks(t: TravisMatrix) -> Iterator[str]:
+    """The text of :func:`write_matrix` in consecutive chunks, header first,
+    of at most a few thousand rows each (under 1 MB at 108 columns)."""
+    for start in range(0, max(t.n_rows, 1), _WRITE_BLOCK):
+        yield write_matrix(t, start, start + _WRITE_BLOCK)
 
 
 def parse_vectors(text: str) -> VectorLabeling:

@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ from .errors import (
 )
 
 _COOC_CHUNK = 65536
+# Rows per block for the text writers: a block of 4096 rows x 108 columns is
+# under 1 MB of text, where 65536-row blocks raise the peak RSS of an export.
+_WRITE_BLOCK = 4096
 
 # Largest state table enumerate_states builds unless given a row limit: bind(bug)
 # (2,239,488 rows) fits, bind(fig4) (about 5.9e23) is refused before any row.
@@ -120,12 +123,13 @@ class TravisMatrix:
 
         Bulk pairwise questions should go through :attr:`cooc` instead.
         """
-        shift = self.n_cols - 1 - col
-        buf = bytearray((len(self.rows) + 7) // 8)
-        for r, m in enumerate(self.rows):
-            if m >> shift & 1:
-                buf[r >> 3] |= 1 << (r & 7)
-        return int.from_bytes(buf, "little")
+        # every block but the last holds a multiple of 8 rows, so the packed
+        # bytes of consecutive blocks line up
+        packed = b"".join(
+            np.packbits(bits[:, col], bitorder="little").tobytes()
+            for bits in _bit_blocks(self.rows, self.n_cols, _COOC_CHUNK)
+        )
+        return int.from_bytes(packed, "little")
 
     @cached_property
     def cooc(self) -> np.ndarray:
@@ -133,14 +137,9 @@ class TravisMatrix:
         columns 1; the diagonal holds column sums. Computed once in chunks, so
         the 2.2M-row binding instance stays tractable."""
         k = self.n_cols
-        nbytes = (k + 7) // 8
-        pad = nbytes * 8 - k
         counts = np.zeros((k, k), dtype=np.int64)
-        for start in range(0, len(self.rows), _COOC_CHUNK):
-            chunk = self.rows[start:start + _COOC_CHUNK]
-            buf = b"".join(r.to_bytes(nbytes, "big") for r in chunk)
-            packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
-            bits = np.unpackbits(packed, axis=1)[:, pad:].astype(np.float32)
+        for bits in _bit_blocks(self.rows, k, _COOC_CHUNK):
+            bits = bits.astype(np.float32)
             counts += (bits.T @ bits).astype(np.int64)
         return counts
 
@@ -177,6 +176,20 @@ class TravisMatrix:
 
     def __repr__(self) -> str:
         return f"TravisMatrix({self.n_rows} states x {self.n_cols} vertices)"
+
+
+def _bit_blocks(
+    rows: Sequence[int], k: int, block: int = _WRITE_BLOCK
+) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most ``block`` packed rows, each as an
+    ``(n, k)`` uint8 array of 0/1 entries in column order."""
+    nbytes = (k + 7) // 8
+    pad = nbytes * 8 - k
+    for start in range(0, len(rows), block):
+        chunk = rows[start:start + block]
+        buf = b"".join(r.to_bytes(nbytes, "big") for r in chunk)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
+        yield np.unpackbits(packed, axis=1)[:, pad:]
 
 
 @dataclass(frozen=True, eq=False)

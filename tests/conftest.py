@@ -8,12 +8,22 @@ engine results are checked against something that cannot share its bugs.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
+import ohg
 from ohg import core, gadgets, states
+
+# the directory holding the package under test, for child processes
+_PACKAGE_ROOT = str(Path(ohg.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +81,34 @@ def bind_fig4():
 @pytest.fixture(scope="session")
 def bind_bug_matrix(bind_bug):
     return states.enumerate_states(bind_bug)
+
+
+def ohg_argv(*args: str) -> list[str]:
+    return [sys.executable, "-m", "ohg.cli", *args]
+
+
+def child_options(address_space: Optional[int] = None) -> dict:
+    """Keyword arguments for ``subprocess`` that let a child ``python -m
+    ohg.cli`` import the package under test, installed or not, optionally
+    under an ``RLIMIT_AS`` cap of ``address_space`` bytes, so that a command
+    that grows without bound fails its test instead of exhausting memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+    )
+    options: dict = {"env": env}
+    if address_space is not None:
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        options["preexec_fn"] = cap
+    return options
+
+
+def run_ohg(*args: str, address_space: Optional[int] = None,
+            timeout: float = 60) -> subprocess.CompletedProcess:
+    """``ohg ARGS`` in a child process, with text output captured."""
+    return subprocess.run(ohg_argv(*args), capture_output=True, text=True,
+                          timeout=timeout, **child_options(address_space))
 
 
 def brute_force_true_sets(h: core.Hypergraph) -> set[frozenset[str]]:

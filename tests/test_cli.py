@@ -1,7 +1,5 @@
 import json
-import resource
 import subprocess
-import sys
 import time
 
 import pytest
@@ -9,6 +7,10 @@ import pytest
 from ohg import gadgets, states
 from ohg.cli import main
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
+
+from conftest import child_options, ohg_argv, run_ohg
+
+GIB = 1 << 30
 
 
 @pytest.fixture
@@ -58,6 +60,40 @@ class TestStates:
         assert payload["nTS"] == 14
         assert len(payload["rows"]) == 14
         assert all(set(r) <= {"0", "1"} for r in payload["rows"])
+
+    def test_out_unwritable(self, capsys, bug_file, tmp_path):
+        target = tmp_path / "missing" / "bug.mat"
+        code, out, err = run(capsys, "states", bug_file, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
+    def test_refused_table_leaves_no_file(self, capsys, bug_file, tmp_path,
+                                          monkeypatch):
+        monkeypatch.setattr(states, "ROW_BUDGET", 5)
+        target = tmp_path / "bug.mat"
+        code, _, err = run(capsys, "states", bug_file, "--out", str(target))
+        assert code == 2 and "row budget of 5" in err
+        assert not target.exists()
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # ``ohg states quads.ohg | head -c 10``: seven disjoint 4-contexts
+        # give 4**7 rows (917 kB, four write blocks), far more than a pipe holds
+        path = tmp_path / "quads.ohg"
+        path.write_text("".join(f"q{c}a q{c}b q{c}c q{c}d\n" for c in range(7)))
+        proc = subprocess.Popen(ohg_argv("states", str(path)),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                **child_options())
+        try:
+            assert proc.stdout.read(10) == b"vertices: "
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == ""
+        assert code == 141
 
     def test_jobs_flag(self, capsys, bug_file):
         code, out, _ = run(capsys, "states", bug_file, "--count-only",
@@ -142,17 +178,11 @@ class TestRowBudget:
         ["states", "{}"],
     ])
     def test_refused_in_seconds(self, bind_fig4_file, argv):
-        # a subprocess under a 1 GiB address-space cap, so that a missing
-        # budget check fails the test instead of exhausting memory
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        # under a 1 GiB address-space cap, so that a missing budget check
+        # fails the test instead of exhausting memory
         start = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "ohg.cli",
-             *(a.format(bind_fig4_file) for a in argv)],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        )
+        result = run_ohg(*(a.format(bind_fig4_file) for a in argv),
+                         address_space=GIB)
         elapsed = time.perf_counter() - start
         assert result.returncode == 2, result.stderr
         assert "row budget" in result.stderr
@@ -380,10 +410,6 @@ class TestErrors:
 
 
 def test_console_script_installed():
-    result = subprocess.run(
-        [sys.executable, "-m", "ohg.cli", "count", "--na", "1", "--nb", "1",
-         "--nn", "1"],
-        capture_output=True, text=True,
-    )
+    result = run_ohg("count", "--na", "1", "--nb", "1", "--nn", "1")
     assert result.returncode == 0
     assert result.stdout == "6\n"

@@ -1,3 +1,7 @@
+import json
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -18,13 +22,17 @@ from ohg.coloring import (
     verify_rows,
 )
 from ohg.errors import (
+    ColumnCountMismatchError,
     DisconnectedError,
     NotAStateError,
     NotDominatingError,
     NotProperError,
     SizeLimitError,
 )
+from ohg.formats import write_ohg
 from ohg.reconstruction import reconstruct
+
+from conftest import random_pasting, run_ohg
 
 TRIANGLE_COLORING = {
     "a1": 1, "a4": 1, "a2": 2, "a5": 2, "a3": 3, "a6": 3,
@@ -288,6 +296,103 @@ class TestRelaxedColoring:
             c = relaxed_coloring(t, h, chi)
             if c is not None:
                 assert c.num_colors >= chi
+
+
+def reference_relaxed_coloring(t, h, max_colors):
+    """The relaxed colouring as first written, over per-row frozensets."""
+    idx = h.index
+    nbr = h.neighbor_masks
+    rows = [t.row_true_set(r) for r in range(t.n_rows)]
+    uncolored = set(h.vertices)
+    color_of = {}
+    for color in range(1, max_colors + 1):
+        if not uncolored:
+            break
+        current = set()
+        current_mask = 0
+        for true_set in rows:
+            contribution = true_set & uncolored
+            if not contribution:
+                continue
+            add_mask = sum(1 << idx[v] for v in contribution)
+            conflict = False
+            for v in contribution:
+                if nbr[idx[v]] & ((current_mask | add_mask) & ~(1 << idx[v])):
+                    conflict = True
+                    break
+            if conflict:
+                continue
+            current |= contribution
+            current_mask |= add_mask
+            uncolored -= contribution
+        if not current:
+            return None
+        for v in current:
+            color_of[v] = color
+    if uncolored:
+        return None
+    return Coloring(h, color_of)
+
+
+def _relaxed_cases():
+    """(hypergraph, table) pairs: every fixture's enumeration and printed
+    table, the same tables with their columns reversed, and random pastings."""
+    cases = []
+    for name in gadgets.FIXTURE_NAMES:
+        fx = gadgets.fixture(name)
+        if fx.hypergraph is None:
+            continue
+        cases.append((fx.hypergraph, states.enumerate_states(fx.hypergraph)))
+        if fx.travis is not None:
+            cases.append((fx.hypergraph, fx.travis))
+    for h, t in list(cases):
+        flipped = states.TravisMatrix.from_bit_rows(
+            t.vertices[::-1], [t.row_bits(r)[::-1] for r in range(t.n_rows)])
+        cases.append((h, flipped))
+    rng = random.Random(2024)
+    for _ in range(25):
+        h = random_pasting(rng)
+        cases.append((h, states.enumerate_states(h)))
+    return cases
+
+
+class TestRelaxedOverRowInts:
+    def test_same_as_reference(self):
+        for h, t in _relaxed_cases():
+            for n in range(1, 6):
+                want = reference_relaxed_coloring(t, h, n)
+                got = relaxed_coloring(t, h, n)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and got.color_of == want.color_of
+
+    def test_columns_must_match(self, bug, g32):
+        with pytest.raises(ColumnCountMismatchError):
+            relaxed_coloring(states.enumerate_states(g32), bug, 3)
+
+    def test_bind_bug_in_seconds(self, tmp_path, bind_bug):
+        # under a 1 GiB address-space cap: per-row sets of the 2,239,488
+        # states would not fit
+        path = tmp_path / "bind_bug.ohg"
+        path.write_text(write_ohg(bind_bug))
+
+        def relaxed(n):
+            start = time.perf_counter()
+            result = run_ohg("color", str(path), "--algorithm", "relaxed",
+                             "--n", str(n), "--format", "json",
+                             address_space=1 << 30)
+            elapsed = time.perf_counter() - start
+            assert elapsed <= 10.0, f"--n {n} took {elapsed:.2f}s"
+            return result
+
+        five = relaxed(5)
+        assert five.returncode == 0, five.stderr
+        color_of = json.loads(five.stdout)["coloring"]
+        assert Coloring(bind_bug, color_of).num_colors == 4
+        three = relaxed(3)
+        assert three.returncode == 1, three.stderr
+        assert three.stdout == "no 3-coloring from two-valued states\n"
 
 
 class TestColorabilityEquivalence:

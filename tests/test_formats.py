@@ -1,8 +1,16 @@
+import json
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohg import gadgets, states
-from ohg.errors import ParseError
+from ohg.cli import main
+from ohg.errors import OhgError, ParseError
 from ohg.formats import (
+    matrix_chunks,
     parse_matrix,
     parse_ohg,
     parse_vectors,
@@ -11,6 +19,48 @@ from ohg.formats import (
     write_vectors,
 )
 from ohg.geometry import VectorLabeling
+
+from conftest import random_pasting, run_ohg
+
+
+def reference_write_matrix(t: states.TravisMatrix) -> str:
+    """The matrix writer as it was first written, one ``str`` per bit."""
+    out = ["vertices: " + " ".join(t.vertices)]
+    for r in range(t.n_rows):
+        out.append(" ".join(str(b) for b in t.row_bits(r)))
+    return "\n".join(out) + "\n"
+
+
+def reference_states_json(t: states.TravisMatrix) -> str:
+    rows = ["".join(str(b) for b in t.row_bits(r)) for r in range(t.n_rows)]
+    payload = {"vertices": list(t.vertices), "nTS": t.n_rows, "rows": rows}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _disjoint_union(a: str, b: str) -> str:
+    """Context-file text of two hypergraphs side by side; ``b``'s vertices
+    are renamed apart. The states are all pairs of states."""
+    renamed = "".join(" ".join("u" + v for v in line.split()) + "\n"
+                      for line in b.splitlines())
+    return a + renamed
+
+
+def _writer_cases() -> dict[str, str]:
+    cases = {name: write_ohg(gadgets.fixture(name).hypergraph)
+             for name in gadgets.FIXTURE_NAMES
+             if gadgets.fixture(name).hypergraph is not None}
+    # no two-valued state: the matrix is its header line alone
+    cases["contradictory"] = "a b\nb c\na c\n"
+    # 8 columns, a whole number of bytes per packed row (bug has 13)
+    cases["two_quads"] = "a b c d\ne f g h\n"
+    # 43,008 rows x 139 columns: eleven write blocks
+    g32 = gadgets.fixture("g32").hypergraph
+    bind_g32 = gadgets.bind(gadgets.BindSpec(g32, "v1", "v13"))
+    cases["bind_g32+bug"] = _disjoint_union(write_ohg(bind_g32), cases["bug"])
+    return cases
+
+
+WRITER_CASES = _writer_cases()
 
 
 class TestOhgFormat:
@@ -70,6 +120,91 @@ class TestMatrixFormat:
             assert again == t
 
 
+class TestMatrixWriter:
+    """The block formatter writes the same bytes as the per-bit reference,
+    through the library and through every ``ohg`` path that prints a matrix."""
+
+    @pytest.fixture(scope="class", params=sorted(WRITER_CASES))
+    def case(self, request, tmp_path_factory):
+        text = WRITER_CASES[request.param]
+        path = tmp_path_factory.mktemp("writer") / f"{request.param}.ohg"
+        path.write_text(text)
+        t = states.enumerate_states(parse_ohg(text))
+        return str(path), t, reference_write_matrix(t)
+
+    def test_shapes_covered(self):
+        shapes = {name: states.enumerate_states(parse_ohg(text))
+                  for name, text in WRITER_CASES.items()}
+        assert shapes["contradictory"].n_rows == 0
+        assert shapes["two_quads"].n_cols == 8
+        assert shapes["bug"].n_cols % 8 != 0
+        assert shapes["bind_g32+bug"].n_rows == 43_008
+        assert shapes["bind_g32+bug"].n_rows > 10 * states._WRITE_BLOCK
+
+    def test_write_matrix(self, case):
+        _, t, want = case
+        assert write_matrix(t) == want
+
+    def test_chunks(self, case):
+        _, t, want = case
+        chunks = list(matrix_chunks(t))
+        assert "".join(chunks) == want
+        assert chunks[0].startswith("vertices: ")
+        assert all(c.count("\n") <= states._WRITE_BLOCK + 1 for c in chunks)
+        assert len(chunks) == max(1, -(-t.n_rows // states._WRITE_BLOCK))
+
+    def test_row_slices_concatenate(self, case):
+        _, t, want = case
+        cut = t.n_rows // 3 + 1
+        assert write_matrix(t, 0, cut) + write_matrix(t, cut) == want
+
+    def test_states_stdout(self, case, capsys):
+        path, _, want = case
+        assert main(["states", path]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_states_out(self, case, capsys, tmp_path):
+        path, t, want = case
+        target = tmp_path / "table.mat"
+        assert main(["states", path, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == f"{t.n_rows}\n"
+        assert target.read_text() == want
+
+    def test_states_json(self, case, capsys):
+        path, t, _ = case
+        assert main(["states", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == reference_states_json(t)
+
+    @pytest.mark.parametrize("name", ["triangle", "pentagon", "bug", "g32",
+                                      "underlying", "ghz"])
+    def test_reference_tables(self, name, capsys):
+        # transcription row order, and ghz has 16 columns
+        t = gadgets.fixture(name).travis
+        want = reference_write_matrix(t)
+        assert write_matrix(t) == want
+        assert main(["gadget", name, "--travis"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_bind_bug_out_bounded(self, tmp_path, bind_bug):
+        # the 2,239,488 x 108 table (484 MB of text) under a 1 GiB
+        # address-space cap: the writer must stream it
+        path = tmp_path / "bind_bug.ohg"
+        path.write_text(write_ohg(bind_bug))
+        target = tmp_path / "bind_bug.mat"
+        try:
+            start = time.perf_counter()
+            result = run_ohg("states", str(path), "--out", str(target),
+                             address_space=1 << 30)
+            elapsed = time.perf_counter() - start
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == "2239488\n"
+            header = len("vertices: " + " ".join(bind_bug.vertices) + "\n")
+            assert target.stat().st_size == header + 2_239_488 * 216
+            assert elapsed <= 10.0, f"--out took {elapsed:.2f}s"
+        finally:
+            target.unlink(missing_ok=True)
+
+
 class TestVectorFormat:
     def test_parse(self):
         lab = parse_vectors("a: 1 0 0\nb: 0 1 0\n")
@@ -89,3 +224,35 @@ class TestVectorFormat:
             parse_vectors("a: 1 0\na: 0 1\n")
         with pytest.raises(ParseError):
             parse_vectors("")
+
+
+# Text near the formats' grammar, so that generated inputs get past the first
+# checks: header words, digits, names, separators, numbers and whitespace.
+_TOKENS = st.sampled_from([
+    "vertices:", "vertices: a b", "0", "1", "2", "01", "-1", "+1", "1_0", "a",
+    "b", "c", "v1", "x:", ":", ": ", "#", "# c", " ", "\t", "\n", "\r\n",
+    "\x0b", "\x1c", "\u2028", "\u0661", "nan", "inf", "-inf", "1e999",
+    "0.5", "-0.0", "1" * 5000, "\u00e9", "\x00",
+])
+_NEAR_TEXT = st.lists(_TOKENS, max_size=40).map("".join)
+_ANY_TEXT = st.one_of(st.text(), _NEAR_TEXT)
+
+
+class TestParsersRaiseOnlyOhgError:
+    """Whatever the text, a parser returns or raises an :class:`OhgError`,
+    which the command line reports as an input error (exit 2)."""
+
+    @pytest.mark.parametrize("parse", [parse_ohg, parse_matrix, parse_vectors])
+    @settings(max_examples=300, deadline=None)
+    @given(text=_ANY_TEXT)
+    def test_arbitrary_text(self, parse, text):
+        try:
+            parse(text)
+        except OhgError:
+            pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matrix_round_trip(self, seed):
+        t = states.enumerate_states(random_pasting(random.Random(seed)))
+        assert parse_matrix(write_matrix(t)) == t
