@@ -8,6 +8,12 @@ stable keys {vertices, contexts, nTS, verdicts, rows, extraContexts} where
 applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
+
+numpy is loaded only by the commands that build state matrices or co-truth
+counts: ``states`` with rows, ``classify``, ``reconstruct``, ``compose`` and
+``gadget --travis``. The others (``states --count-only``, ``count``,
+``gadget``, ``chroma``, ``color``, ``verify-for``, ``export``) start
+without it.
 """
 
 from __future__ import annotations
@@ -175,6 +181,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_color(args) -> int:
     h = _load_hypergraph(args.file)
     n = args.n
+    if n < 1:
+        raise OhgError("the number of colors must be positive")
     rows_out: Optional[list[int]] = None
     col: Optional[coloring_mod.Coloring] = None
     if args.algorithm == "paper":

@@ -15,18 +15,21 @@ digit by digit. :func:`matrix_chunks` yields the text block by block, so a
 caller can write a multi-million-row table (the 2,239,488 x 108 matrix of
 the binding of the bug, 484 MB of text) with memory bounded by one block;
 ``ohg states --out`` and the matrix on standard output are written that way.
+Only the matrix writer imports numpy, when it formats its first block; the
+parsers and the hypergraph and vector writers do not.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import Hypergraph, build
 from .errors import ParseError
 from .geometry import VectorLabeling
 from .states import _WRITE_BLOCK, TravisMatrix, _bit_blocks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _content_lines(text: str) -> list[str]:
@@ -77,6 +80,8 @@ def parse_matrix(text: str) -> TravisMatrix:
 def _matrix_lines(bits: np.ndarray) -> str:
     """Rows of 0/1 entries as matrix-file lines: digits at the even byte
     positions, spaces between them and a newline last."""
+    import numpy as np
+
     n, k = bits.shape
     out = np.full((n, 2 * k), ord(" "), dtype=np.uint8)
     out[:, 0::2] = bits + ord("0")

@@ -21,6 +21,11 @@ criterion) need nothing else, so they run without a state table, on the
 for the state matrix, the paper's row selection and the relaxed colouring.
 It counts first and refuses a table above :data:`ROW_BUDGET` rows.
 
+numpy is imported inside the functions that build arrays (the bit blocks,
+``TravisMatrix.cooc``/``column_int`` and the co-truth pass),
+not at module level: counting and enumeration use Python ints only, so a
+caller that only counts, enumerates or colours never loads numpy.
+
 Bit conventions: a state is stored as one Python int whose binary digits read
 like a printed matrix row, i.e. column ``j`` (vertex ``j`` in declaration
 order) sits at bit ``k - 1 - j``. Sorting these ints descending therefore
@@ -34,9 +39,15 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .core import Hypergraph
 from .errors import (
@@ -45,6 +56,9 @@ from .errors import (
     OhgError,
     RowLimitExceededError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COOC_CHUNK = 65536
 # Rows per block for the text writers: a block of 4096 rows x 108 columns is
@@ -123,6 +137,8 @@ class TravisMatrix:
 
         Bulk pairwise questions should go through :attr:`cooc` instead.
         """
+        import numpy as np
+
         # every block but the last holds a multiple of 8 rows, so the packed
         # bytes of consecutive blocks line up
         packed = b"".join(
@@ -136,6 +152,8 @@ class TravisMatrix:
         """Pairwise co-truth counts: ``cooc[i, j]`` = number of rows with both
         columns 1; the diagonal holds column sums. Computed once in chunks, so
         the 2.2M-row binding instance stays tractable."""
+        import numpy as np
+
         k = self.n_cols
         counts = np.zeros((k, k), dtype=np.int64)
         for bits in _bit_blocks(self.rows, k, _COOC_CHUNK):
@@ -145,7 +163,7 @@ class TravisMatrix:
 
     @property
     def column_sums(self) -> np.ndarray:
-        return np.diagonal(self.cooc)
+        return self.cooc.diagonal()
 
     @classmethod
     def from_bit_rows(
@@ -156,6 +174,8 @@ class TravisMatrix:
         canonical: bool = False,
     ) -> "TravisMatrix":
         vs = tuple(vertices)
+        if len(set(vs)) != len(vs):
+            raise ValueError("columns of a state table must have distinct names")
         k = len(vs)
         rows = []
         for bits in bit_rows:
@@ -183,6 +203,8 @@ def _bit_blocks(
 ) -> Iterator[np.ndarray]:
     """Consecutive slices of at most ``block`` packed rows, each as an
     ``(n, k)`` uint8 array of 0/1 entries in column order."""
+    import numpy as np
+
     nbytes = (k + 7) // 8
     pad = nbytes * 8 - k
     for start in range(0, len(rows), block):
@@ -218,7 +240,7 @@ class CoTruth:
 
     @property
     def column_sums(self) -> np.ndarray:
-        return np.diagonal(self.cooc)
+        return self.cooc.diagonal()
 
     def __repr__(self) -> str:
         return f"CoTruth({self.nts} states x {self.n_cols} vertices)"
@@ -485,10 +507,15 @@ class _CoTruthSum:
     zero = None
 
     def __init__(self, k: int):
+        import numpy as np
+
         self.k = k
+        # bound once per pass, so that no node pays for an import statement
+        self.np = np
 
     def columns(self, mask: int) -> np.ndarray:
         """Ascending column indices of the bits of ``mask``."""
+        np = self.np
         digits = np.frombuffer(format(mask, f"0{self.k}b").encode(), dtype=np.uint8)
         return np.flatnonzero(digits == ord("1"))
 
@@ -504,6 +531,7 @@ class _CoTruthSum:
         """
         if not forced and len(parts) == 1:
             return parts[0]
+        np = self.np
         n = math.prod(p[0] for p in parts)
         scope = forced
         for _, part_scope, _ in parts:
@@ -533,6 +561,7 @@ class _CoTruthSum:
         results = [r for r in results if r is not None]
         if len(results) <= 1:
             return results[0] if results else None
+        np = self.np
         scope = 0
         for _, part_scope, _ in results:
             scope |= part_scope
@@ -594,6 +623,8 @@ def cotruth(h: Hypergraph) -> CoTruth:
     378-vertex binding (about 5.9e23 states) is analysed in seconds. The
     result equals ``enumerate_states(h).cooc`` entry for entry.
     """
+    import numpy as np
+
     k = len(h.vertices)
     alg = _CoTruthSum(k)
     res = _Problem.from_hypergraph(h).solve(alg, {})

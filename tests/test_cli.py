@@ -233,6 +233,14 @@ class TestColor:
         assert code == 0
         assert out.startswith("graph ") and "fillcolor" in out
 
+    @pytest.mark.parametrize("algorithm", ["paper", "relaxed", "exact"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_n_rejected(self, capsys, bug_file, algorithm, n):
+        code, out, err = run(capsys, "color", bug_file, "--n", n,
+                             "--algorithm", algorithm)
+        assert code == 2 and out == ""
+        assert err == "error: the number of colors must be positive\n"
+
     def test_relaxed_json_has_no_rows(self, capsys, g32_file):
         _, out, _ = run(capsys, "color", g32_file, "--n", "4",
                         "--algorithm", "relaxed", "--format", "json")

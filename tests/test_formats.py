@@ -97,6 +97,12 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             parse_matrix("vertices: a b c\n1 0 0\n1 0 0\n")
 
+    def test_duplicate_vertex_names_rejected(self):
+        with pytest.raises(ValueError, match="distinct names"):
+            states.TravisMatrix.from_bit_rows(("a", "a", "b"), [(1, 0, 0)])
+        with pytest.raises(ParseError, match="distinct names"):
+            parse_matrix("vertices: a a b\n1 0 0\n0 0 1\n")
+
     def test_ragged_row_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix("vertices: a b c\n1 0\n")
