@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="MATRIXFILE")
     p.add_argument("--limit", type=int, default=None,
                    help="abort past this many rows (replaces the row budget)")
-    p.add_argument("--jobs", type=int, default=states.default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--progress", action="store_true",
                    help="stream running counts to stderr")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -166,6 +166,9 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
     """
     if n < 1:
         raise OhgError("the number of colors must be positive")
+    if n > t.n_rows:
+        # the chosen rows are distinct, so there are too few of them
+        return None
     rows = t.rows
     available = list(range(t.n_rows))
     chosen: list[int] = []
@@ -197,16 +200,18 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
 
 def verify_rows(t: TravisMatrix, selection: RowSelection) -> bool:
     """Whether the selected rows sum, componentwise over the integers, to the
-    all-ones vector."""
+    all-ones vector: they are pairwise disjoint and together cover every
+    column."""
     for r in selection.rows:
         if not 1 <= r <= t.n_rows:
             raise OhgError(f"row index {r} out of range 1..{t.n_rows}")
-    k = t.n_cols
-    sums = [0] * k
+    covered = 0
     for r in selection.rows:
-        for j in range(k):
-            sums[j] += t.bit(r - 1, j)
-    return all(s == 1 for s in sums)
+        row = t.rows[r - 1]
+        if row & covered:
+            return False
+        covered |= row
+    return covered == (1 << t.n_cols) - 1
 
 
 def color_to_state(coloring: Coloring, color: int) -> TwoValuedState:
@@ -241,11 +246,8 @@ def _two_section_components(g: Graph) -> int:
         while frontier:
             seen |= frontier
             nxt = 0
-            bits = frontier
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                nxt |= nbr[low.bit_length() - 1]
+            for v in core._bits(frontier):
+                nxt |= nbr[v]
             frontier = nxt & ~seen
     return comps
 
@@ -257,23 +259,16 @@ def _greedy_dsatur(nbr: tuple[int, ...], n: int) -> list[int]:
         for v in range(n):
             if colors[v]:
                 continue
-            sat = len({colors[u] for u in _bits(nbr[v]) if colors[u]})
+            sat = len({colors[u] for u in core._bits(nbr[v]) if colors[u]})
             key = (sat, nbr[v].bit_count())
             if key > best_key:
                 best, best_key = v, key
-        used = {colors[u] for u in _bits(nbr[best])}
+        used = {colors[u] for u in core._bits(nbr[best])}
         c = 1
         while c in used:
             c += 1
         colors[best] = c
     return colors
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def exact_coloring(
@@ -310,11 +305,11 @@ def exact_coloring(
             for v in range(n):
                 if colors[v]:
                     continue
-                sat = len({colors[u] for u in _bits(nbr[v]) if colors[u]})
+                sat = len({colors[u] for u in core._bits(nbr[v]) if colors[u]})
                 key = (sat, nbr[v].bit_count())
                 if key > pick_key:
                     pick, pick_key = v, key
-            taken = {colors[u] for u in _bits(nbr[pick])}
+            taken = {colors[u] for u in core._bits(nbr[pick])}
             limit = min(used + 1, best_count - 1)
             for c in range(1, limit + 1):
                 if c in taken:
@@ -376,7 +371,7 @@ def relaxed_coloring(
     bit = [k - 1 - t.vertices.index(v) for v in h.vertices]
     nbr = [0] * k
     for i, m in enumerate(h.neighbor_masks):
-        for u in _bits(m):
+        for u in core._bits(m):
             nbr[bit[i]] |= 1 << bit[u]
     uncolored = (1 << k) - 1
     color_of: dict[str, int] = {}
@@ -395,7 +390,7 @@ def relaxed_coloring(
             if not add or add & around:
                 continue
             around_add = 0
-            for b in _bits(add):
+            for b in core._bits(add):
                 around_add |= nbr[b]
             if around_add & add:
                 continue
@@ -404,7 +399,7 @@ def relaxed_coloring(
             uncolored &= ~add
         if not current:
             return None
-        for j in _bits(current):
+        for j in core._bits(current):
             color_of[t.vertices[k - 1 - j]] = color
     if uncolored:
         return None

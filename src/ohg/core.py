@@ -2,7 +2,8 @@
 
 Vertices are opaque string tokens. All heavy computation runs on dense
 integer indices in declaration order, with vertex sets packed into Python
-int bitmasks (bit ``i`` = vertex ``i``).
+int bitmasks (bit ``i`` = vertex ``i``). :func:`_bits` lists the members of
+such a mask; the package walks masks through it only.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateContextError,
@@ -18,6 +19,14 @@ from .errors import (
     InvalidVertexNameError,
     SubsetContextError,
 )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_name(name: object) -> str:
@@ -54,11 +63,8 @@ class Hypergraph:
         """For each vertex, the mask of vertices sharing some context with it."""
         nbr = [0] * len(self.vertices)
         for mask in self.context_masks:
-            bits = mask
-            while bits:
-                low = bits & -bits
-                nbr[low.bit_length() - 1] |= mask & ~low
-                bits ^= low
+            for v in _bits(mask):
+                nbr[v] |= mask & ~(1 << v)
         return tuple(nbr)
 
     def adjacent(self, u: str, v: str) -> bool:
@@ -187,34 +193,19 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
         if not cand and not excl:
             out.append(clique)
             return
-        pool = cand | excl
-        pivot = pool & -pool
-        best, best_deg = pivot.bit_length() - 1, -1
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            v = low.bit_length() - 1
+        best, best_deg = -1, -1
+        for v in _bits(cand | excl):
             d = (cand & nbr[v]).bit_count()
             if d > best_deg:
                 best, best_deg = v, d
-        todo = cand & ~nbr[best]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            v = low.bit_length() - 1
+        for v in _bits(cand & ~nbr[best]):
+            low = 1 << v
             expand(clique | low, cand & nbr[v], excl & nbr[v])
             cand &= ~low
             excl |= low
     if n:
         expand(0, (1 << n) - 1, 0)
-    cliques = []
-    for mask in out:
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(g.vertices[low.bit_length() - 1])
-            mask ^= low
-        cliques.append(frozenset(members))
+    cliques = [frozenset(g.vertices[v] for v in _bits(mask)) for mask in out]
     return tuple(sorted(cliques, key=lambda c: sorted(c)))
 
 
@@ -245,12 +236,7 @@ def _vertex_signature(h: Hypergraph) -> dict[str, tuple]:
     sig = {}
     for v in h.vertices:
         ctx_sizes = tuple(sorted(len(c) for c in h.contexts if v in c))
-        mask = nbr[idx[v]]
-        nd = []
-        while mask:
-            low = mask & -mask
-            nd.append(degrees[h.vertices[low.bit_length() - 1]])
-            mask ^= low
+        nd = [degrees[h.vertices[u]] for u in _bits(nbr[idx[v]])]
         sig[v] = (degrees[v], ctx_sizes, tuple(sorted(nd)))
     return sig
 

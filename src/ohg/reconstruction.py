@@ -156,10 +156,10 @@ def _column_invariants(t: TravisMatrix) -> list[tuple]:
 
 
 def _permute_row(row: int, col_map: list[int], k: int) -> int:
+    # rows are in reading order: bit b holds column k - 1 - b
     out = 0
-    for i in range(k):
-        if row >> (k - 1 - i) & 1:
-            out |= 1 << (k - 1 - col_map[i])
+    for b in core._bits(row):
+        out |= 1 << (k - 1 - col_map[k - 1 - b])
     return out
 
 

@@ -12,31 +12,35 @@ contexts and its undetermined vertices (the component caching of #SAT model
 counters), so a component met again in another branch costs one lookup. That
 counts the 378-vertex binding (about 5.9e23 states) in a fraction of a second.
 
-The same branching loop runs with one of two ways of combining results:
-plain counts (:func:`count_states`), or counts together with per-vertex true
-counts and pairwise co-truth counts (:func:`cotruth`). The pairwise analyses
+The same branching loop runs with one of three ways of combining results
+(algebras): plain counts (:func:`count_states`), counts together with
+per-vertex true counts and pairwise co-truth counts (:func:`cotruth`), or the
+rows themselves (:func:`enumerate_states`). The pairwise analyses
 (classification, gadget scans and profiles, reconstruction by the adjacency
 criterion) need nothing else, so they run without a state table, on the
-378-vertex binding too. Only row-level work enumerates: :func:`enumerate_states`
-for the state matrix, the paper's row selection and the relaxed colouring.
-It counts first and refuses a table above :data:`ROW_BUDGET` rows.
+378-vertex binding too. Only row-level work enumerates: the state matrix, the
+paper's row selection and the relaxed colouring. Enumeration counts first
+and refuses a table above :data:`ROW_BUDGET` rows; it runs without the
+component cache, because its results are whole states, not parts of them.
 
 numpy is imported inside the functions that build arrays (the bit blocks,
 ``TravisMatrix.cooc``/``column_int`` and the co-truth pass),
 not at module level: counting and enumeration use Python ints only, so a
 caller that only counts, enumerates or colours never loads numpy.
 
-Bit conventions: a state is stored as one Python int whose binary digits read
-like a printed matrix row, i.e. column ``j`` (vertex ``j`` in declaration
-order) sits at bit ``k - 1 - j``. Sorting these ints descending therefore
-yields the canonical row order: descending as binary numbers under the column
-order.
+Bit conventions: the engine works on :mod:`ohg.core`'s masks, bit ``i`` =
+vertex ``i``, taken from :attr:`Hypergraph.context_masks` and
+:attr:`Hypergraph.neighbor_masks`. A row of a :class:`TravisMatrix` is one
+Python int whose binary digits read like a printed matrix row, i.e. column
+``j`` (vertex ``j`` in declaration order) sits at bit ``k - 1 - j``. Sorting
+these ints descending therefore yields the canonical row order: descending as
+binary numbers under the column order. Enumeration converts from the engine's
+order to reading order once per state leaf of the search (:class:`_Rows`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -49,7 +53,7 @@ from typing import (
     Sequence,
 )
 
-from .core import Hypergraph
+from .core import Hypergraph, _bits
 from .errors import (
     ColumnCountMismatchError,
     NotAGadgetPairError,
@@ -274,34 +278,13 @@ class GadgetScan(NamedTuple):
 
 
 class _Problem:
-    """Bitmask view of a hypergraph in reading order, plus the DFS engine."""
+    """The DFS engine over a hypergraph's context and neighbour masks."""
 
-    __slots__ = ("k", "ctx_masks", "nbr")
+    __slots__ = ("ctx_masks", "nbr")
 
-    def __init__(self, k: int, ctx_masks: Sequence[int], nbr: Sequence[int]):
-        self.k = k
-        self.ctx_masks = tuple(ctx_masks)
-        # nbr is indexed by bit position, not by vertex index
-        self.nbr = tuple(nbr)
-
-    @classmethod
-    def from_hypergraph(cls, h: Hypergraph) -> "_Problem":
-        k = len(h.vertices)
-        idx = h.index
-        ctx_masks = []
-        for ctx in h.contexts:
-            m = 0
-            for v in ctx:
-                m |= 1 << (k - 1 - idx[v])
-            ctx_masks.append(m)
-        nbr = [0] * k
-        for m in ctx_masks:
-            bits = m
-            while bits:
-                low = bits & -bits
-                nbr[low.bit_length() - 1] |= m & ~low
-                bits ^= low
-        return cls(k, ctx_masks, nbr)
+    def __init__(self, h: Hypergraph):
+        self.ctx_masks = h.context_masks
+        self.nbr = h.neighbor_masks
 
     def propagate(self, ones: int, zeros: int, active: Sequence[int]):
         """Unit-propagate to fixpoint; ``None`` on contradiction, else the
@@ -364,12 +347,10 @@ class _Problem:
         return [(bits, und, sorted(group))
                 for und, bits, group in sorted(comps, key=lambda c: min(c[2]))]
 
-    # -- counting -------------------------------------------------------------
-
     def solve(
         self,
         alg,
-        memo: dict,
+        memo: Optional[dict],
         ones: int = 0,
         fresh: int = 0,
         zeros: int = 0,
@@ -380,12 +361,13 @@ class _Problem:
         ``zeros`` on ``active``.
 
         The algebra combines results: ``alg.zero`` (falsy) stands for no
-        state, ``alg.node(forced, parts)`` for independent parts under
-        vertices true in every state, ``alg.add(results)`` for the branches
-        of one context. The vertices of ``ones`` lie outside the result;
-        ``fresh`` and every vertex propagation forces here are ``forced``.
+        state, ``alg.node(now, forced, parts)`` for independent parts under
+        the vertices ``now`` true in every state, of which ``forced``
+        (``fresh`` and every vertex propagation forces here) were set at this
+        node, and ``alg.add(results)`` for the branches of one context.
         ``memo`` caches the result of each residual component; one dict serves
-        one hypergraph, one algebra and every branch of the search. With
+        one hypergraph, one algebra and every branch of the search. ``None``
+        turns the cache off, for results that depend on ``ones``. With
         ``progress`` the node is branched as a whole and the running result is
         reported after each branch.
         """
@@ -397,32 +379,36 @@ class _Problem:
         now, zeros, active = res
         forced = now & ~ones
         if not active:
-            return alg.node(forced, [])
+            return alg.node(now, forced, [])
         if progress:
             whole = self._branch(alg, memo, now, zeros, active, progress)
-            return alg.node(forced, [whole])
+            return alg.node(now, forced, [whole])
         parts = []
         for group_bits, und, group in self.components(zeros, active):
-            # A group's result depends only on which of its vertices are still
-            # undetermined: none of them is true (its contexts are unresolved),
-            # and no undetermined vertex has a true neighbour, because setting
-            # a vertex true zeroes all its neighbours. So ``ones`` is left out
-            # of the key. For a fixed group, ``und`` is the union of its
-            # context masks minus ``zeros``, so it carries the same information
-            # as ``zeros`` restricted to that union.
-            key = (group_bits, und)
-            part = memo.get(key)
-            if part is None:
-                part = memo[key] = self._branch(alg, memo, now, zeros, group)
+            if memo is None:
+                part = self._branch(alg, memo, now, zeros, group)
+            else:
+                # A group's result depends only on which of its vertices are
+                # still undetermined: none of them is true (its contexts are
+                # unresolved), and no undetermined vertex has a true
+                # neighbour, because setting a vertex true zeroes all its
+                # neighbours. So ``ones`` is left out of the key. For a fixed
+                # group, ``und`` is the union of its context masks minus
+                # ``zeros``, so it carries the same information as ``zeros``
+                # restricted to that union.
+                key = (group_bits, und)
+                part = memo.get(key)
+                if part is None:
+                    part = memo[key] = self._branch(alg, memo, now, zeros, group)
             if not part:
                 return alg.zero
             parts.append(part)
-        return alg.node(forced, parts)
+        return alg.node(now, forced, parts)
 
     def _branch(
         self,
         alg,
-        memo: dict,
+        memo: Optional[dict],
         ones: int,
         zeros: int,
         active: Sequence[int],
@@ -432,52 +418,13 @@ class _Problem:
         the branching context true."""
         ci = self.branch_context(zeros, active)
         results = []
-        cand = self.ctx_masks[ci] & ~zeros
-        while cand:
-            low = cand & -cand
-            cand ^= low
+        for v in _bits(self.ctx_masks[ci] & ~zeros):
             # no conflict test: an undetermined vertex never has a true neighbour
-            zs = zeros | self.nbr[low.bit_length() - 1]
-            results.append(self.solve(alg, memo, ones, low, zs, active))
+            zs = zeros | self.nbr[v]
+            results.append(self.solve(alg, memo, ones, 1 << v, zs, active))
             if progress:
                 progress(alg.add(results))
         return alg.add(results)
-
-    # -- row enumeration ------------------------------------------------------
-
-    def rows(
-        self,
-        ones: int = 0,
-        zeros: int = 0,
-        active: Optional[Sequence[int]] = None,
-    ) -> list[int]:
-        if active is None:
-            active = range(len(self.ctx_masks))
-        res = self.propagate(ones, zeros, active)
-        if res is None:
-            return []
-        ones, zeros, active = res
-        if not active:
-            return [ones]
-        comps = self.components(zeros, active)
-        if len(comps) > 1:
-            partials = [ones]
-            for _, _, group in comps:
-                sub = self.rows(ones, zeros, group)
-                if not sub:
-                    return []
-                partials = [p | s for p in partials for s in sub]
-            return partials
-        ci = self.branch_context(zeros, active)
-        out: list[int] = []
-        cand = self.ctx_masks[ci] & ~zeros
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            # no conflict test: an undetermined vertex never has a true neighbour
-            zs = zeros | self.nbr[low.bit_length() - 1]
-            out.extend(self.rows(ones | low, zs, active))
-        return out
 
 
 class _Count:
@@ -486,7 +433,7 @@ class _Count:
     zero = 0
 
     @staticmethod
-    def node(forced: int, parts: list[int]) -> int:
+    def node(now: int, forced: int, parts: list[int]) -> int:
         return math.prod(parts)
 
     @staticmethod
@@ -506,20 +453,19 @@ class _CoTruthSum:
 
     zero = None
 
-    def __init__(self, k: int):
+    def __init__(self):
         import numpy as np
 
-        self.k = k
         # bound once per pass, so that no node pays for an import statement
         self.np = np
 
     def columns(self, mask: int) -> np.ndarray:
         """Ascending column indices of the bits of ``mask``."""
         np = self.np
-        digits = np.frombuffer(format(mask, f"0{self.k}b").encode(), dtype=np.uint8)
+        digits = np.frombuffer(format(mask, "b")[::-1].encode(), dtype=np.uint8)
         return np.flatnonzero(digits == ord("1"))
 
-    def node(self, forced: int, parts: list[tuple]) -> tuple:
+    def node(self, now: int, forced: int, parts: list[tuple]) -> tuple:
         """Independent parts under vertices true in every state.
 
         With ``n`` the product of the part counts, a forced column is true
@@ -576,6 +522,36 @@ class _CoTruthSum:
         return sum(r[0] for r in results), scope, m
 
 
+class _Rows:
+    """Enumeration: a result is the list of the states themselves, as rows
+    in reading order (see the module docstring)."""
+
+    zero: list[int] = []
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def node(self, now: int, forced: int, parts: list[list[int]]) -> list[int]:
+        """A leaf's one state, else every combination of the parts' states.
+
+        Each part's rows hold ``now`` and the part's own true vertices, so
+        OR-ing one row of each part gives a whole state.
+        """
+        if not parts:
+            return [int(format(now, f"0{self.k}b")[::-1], 2)]
+        rows = parts[0]
+        for part in parts[1:]:
+            rows = [a | b for a in rows for b in part]
+        return rows
+
+    @staticmethod
+    def add(results: list[list[int]]) -> list[int]:
+        rows: list[int] = []
+        for part in results:
+            rows.extend(part)
+        return rows
+
+
 def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> TravisMatrix:
     """All two-valued states of ``h`` as a canonically ordered matrix.
 
@@ -586,7 +562,7 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     :func:`count_states` when only the number is needed and :func:`cotruth`
     when only the pairwise counts are.
     """
-    prob = _Problem.from_hypergraph(h)
+    prob = _Problem(h)
     limit, what = ((ROW_BUDGET, "row budget") if row_limit is None
                    else (row_limit, "row limit"))
     n = prob.solve(_Count, {})
@@ -594,7 +570,7 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
         raise RowLimitExceededError(
             f"the state table would have {n} rows, above the {what} of {limit}"
         )
-    rows = prob.rows()
+    rows = prob.solve(_Rows(len(h.vertices)), None)
     rows.sort(reverse=True)
     return TravisMatrix(h.vertices, tuple(rows))
 
@@ -612,7 +588,7 @@ def count_states(
     not change the result. ``progress`` is invoked with the running total
     after each branch of the root node.
     """
-    return _Problem.from_hypergraph(h).solve(_Count, {}, progress=progress)
+    return _Problem(h).solve(_Count, {}, progress=progress)
 
 
 def cotruth(h: Hypergraph) -> CoTruth:
@@ -626,8 +602,8 @@ def cotruth(h: Hypergraph) -> CoTruth:
     import numpy as np
 
     k = len(h.vertices)
-    alg = _CoTruthSum(k)
-    res = _Problem.from_hypergraph(h).solve(alg, {})
+    alg = _CoTruthSum()
+    res = _Problem(h).solve(alg, {})
     cooc = np.zeros((k, k), dtype=object)
     if res is None:
         return CoTruth(h.vertices, 0, cooc)
@@ -635,14 +611,6 @@ def cotruth(h: Hypergraph) -> CoTruth:
     cols = alg.columns(scope)
     cooc[np.ix_(cols, cols)] = m
     return CoTruth(h.vertices, n, cooc)
-
-
-def default_jobs() -> int:
-    """Worker budget from the OHG_JOBS environment variable, else 1."""
-    try:
-        return max(1, int(os.environ.get("OHG_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:

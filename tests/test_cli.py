@@ -113,11 +113,8 @@ class TestStates:
 
     def test_jobs_env_fallback(self, capsys, bug_file, monkeypatch):
         monkeypatch.setenv("OHG_JOBS", "2")
-        assert states.default_jobs() == 2
         code, out, _ = run(capsys, "states", bug_file, "--count-only")
         assert code == 0 and out == "14\n"
-        monkeypatch.setenv("OHG_JOBS", "not-a-number")
-        assert states.default_jobs() == 1
 
 
 class TestClassify:
@@ -240,6 +237,17 @@ class TestColor:
                              "--algorithm", algorithm)
         assert code == 2 and out == ""
         assert err == "error: the number of colors must be positive\n"
+
+    def test_huge_n_refused_quickly(self, bug_file):
+        # the 14-row table cannot hold 10**9 distinct rows; under a 1 GiB
+        # address-space cap, so that bookkeeping sized by n fails the test
+        start = time.perf_counter()
+        result = run_ohg("color", bug_file, "--n", "1000000000",
+                         address_space=GIB)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == "no 1000000000-coloring from two-valued states\n"
+        assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
 
     def test_relaxed_json_has_no_rows(self, capsys, g32_file):
         _, out, _ = run(capsys, "color", g32_file, "--n", "4",

@@ -145,6 +145,10 @@ class TestAlgorithm1:
         t = states.TravisMatrix(("a", "b"), ())
         assert algorithm1(t, 2) is None
 
+    def test_more_colors_than_rows(self):
+        ref = gadgets.fixture("bug").travis
+        assert algorithm1(ref, ref.n_rows + 1) is None
+
     def test_deep_backtracking_success(self):
         # picking rows 1 then 2 dead-ends at the third level; the search must
         # restore the removed rows, drop the second pick, and find (1, 3, 4)
@@ -192,6 +196,15 @@ class TestVerifyRows:
     def test_k3(self, k3):
         t = states.enumerate_states(k3)
         assert verify_rows(t, RowSelection((1, 2, 3)))
+
+    def test_false_cases(self):
+        ref = gadgets.fixture("triangle").travis
+        # rows 1 and 4 share a4, though the four rows cover every column
+        assert not verify_rows(ref, RowSelection((1, 2, 3, 4)))
+        # disjoint, but a2 and a5 stay uncovered
+        assert not verify_rows(ref, RowSelection((1, 2)))
+        # row 3 chosen twice puts a2 and a5 in two cells
+        assert not verify_rows(ref, RowSelection((1, 2, 3, 3)))
 
     def test_out_of_range(self):
         ref = gadgets.fixture("triangle").travis

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -58,6 +59,16 @@ class TestEnumerate:
             (0, 1, 0, 0, 1, 0),
             (0, 0, 1, 0, 0, 1),
         ]
+
+    def test_bind_bug_rows_pinned(self, bind_bug_matrix):
+        # sha256 of the canonical rows, each as 14 big-endian bytes, taken
+        # from the enumerator before it ran on the shared search loop
+        t = bind_bug_matrix
+        nbytes = (t.n_cols + 7) // 8
+        digest = hashlib.sha256(b"".join(r.to_bytes(nbytes, "big") for r in t.rows))
+        assert (t.n_rows, t.n_cols) == (2239488, 108)
+        assert digest.hexdigest() == (
+            "29a630e1b1a01b8575478dd207a5ad2d4a15366dd441a98f698955706ade31b7")
 
     def test_contradictory_hypergraph_empty(self):
         h = core.build(CONTRADICTORY)
@@ -241,6 +252,9 @@ class TestCoTruth:
         assert c2.nts == c.nts
         cols = [h2.index[rename[v]] for v in h.vertices]
         assert c2.cooc[np.ix_(cols, cols)].tolist() == c.cooc.tolist()
+        renamed = {frozenset(rename[v] for v in s)
+                   for s in engine_true_sets(states.enumerate_states(h))}
+        assert engine_true_sets(states.enumerate_states(h2)) == renamed
 
 
 class TestClassify:
