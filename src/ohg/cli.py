@@ -9,11 +9,10 @@ applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
 
-numpy is loaded only by the commands that build state matrices or co-truth
-counts: ``states`` with rows, ``classify``, ``reconstruct``, ``compose`` and
-``gadget --travis``. The others (``states --count-only``, ``count``,
-``gadget``, ``chroma``, ``color``, ``verify-for``, ``export``) start
-without it.
+numpy is loaded only by the commands that build co-truth counts:
+``classify``, ``reconstruct`` and ``compose``. The others (``states`` in
+every output form, ``count``, ``gadget`` with or without ``--travis``,
+``chroma``, ``color``, ``verify-for``, ``export``) start without it.
 """
 
 from __future__ import annotations
@@ -59,10 +58,17 @@ def _json_with_rows(payload: dict, t: states.TravisMatrix) -> Iterator[str]:
         yield text
         return
     yield text[:-len("[]\n}\n")] + "["
-    for i, bits in enumerate(states._bit_blocks(t.rows, t.n_cols)):
-        digits = (bits + ord("0")).view(f"S{t.n_cols}").ravel().tolist()
-        rows = b'",\n    "'.join(digits).decode("ascii")
-        yield (",\n    " if i else "\n    ") + '"' + rows + '"'
+    # each row printed with 8 leading zeros, overwritten by the separator
+    sep = b'",\n    "'
+    width = t.n_cols + len(sep)
+    for start in range(0, t.n_rows, states._WRITE_BLOCK):
+        rows = t.rows[start:start + states._WRITE_BLOCK]
+        out = bytearray(states._row_digits(rows, width).encode("ascii"))
+        for i, c in enumerate(sep):
+            out[i::width] = bytes([c]) * len(rows)
+        # a block opens with the tail of a separator: '\n    "' after the
+        # bracket, ',\n    "' after an earlier block
+        yield out[1 if start else 2:].decode("ascii") + '"'
     yield "\n  ]\n}\n"
 
 
@@ -187,7 +193,10 @@ def _cmd_color(args) -> int:
     col: Optional[coloring_mod.Coloring] = None
     if args.algorithm == "paper":
         t = states.enumerate_states(h)
-        selection = coloring_mod.algorithm1(t, n)
+        # a state is true on one vertex of each context, so n pairwise
+        # disjoint states need n distinct vertices in every context
+        fits = n <= min(len(c) for c in h.contexts)
+        selection = coloring_mod.algorithm1(t, n) if fits else None
         if selection is not None:
             rows_out = list(selection.rows)
             col = coloring_mod.coloring_from_partition(

@@ -10,26 +10,22 @@ Writers emit a canonical form (context members in vertex declaration order),
 so canonical files round-trip byte-identically modulo comments.
 
 The matrix writer formats rows in blocks of a few thousand: each block is
-unpacked into a 0/1 byte array and laid out as text by array operations, not
+printed as one binary big int and laid out as text by slice assignment, not
 digit by digit. :func:`matrix_chunks` yields the text block by block, so a
 caller can write a multi-million-row table (the 2,239,488 x 108 matrix of
 the binding of the bug, 484 MB of text) with memory bounded by one block;
 ``ohg states --out`` and the matrix on standard output are written that way.
-Only the matrix writer imports numpy, when it formats its first block; the
-parsers and the hypergraph and vector writers do not.
+The parsers and the writers are numpy-free.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import Hypergraph, build
 from .errors import ParseError
 from .geometry import VectorLabeling
-from .states import _WRITE_BLOCK, TravisMatrix, _bit_blocks
-
-if TYPE_CHECKING:
-    import numpy as np
+from .states import _WRITE_BLOCK, TravisMatrix, _row_digits
 
 
 def _content_lines(text: str) -> list[str]:
@@ -77,16 +73,14 @@ def parse_matrix(text: str) -> TravisMatrix:
         raise ParseError(str(exc)) from None
 
 
-def _matrix_lines(bits: np.ndarray) -> str:
-    """Rows of 0/1 entries as matrix-file lines: digits at the even byte
+def _matrix_lines(rows: Sequence[int], k: int) -> str:
+    """Rows of ``k`` columns as matrix-file lines: digits at the even byte
     positions, spaces between them and a newline last."""
-    import numpy as np
-
-    n, k = bits.shape
-    out = np.full((n, 2 * k), ord(" "), dtype=np.uint8)
-    out[:, 0::2] = bits + ord("0")
-    out[:, -1] = ord("\n")
-    return out.tobytes().decode("ascii")
+    digits = _row_digits(rows, k).encode("ascii")
+    out = bytearray(b" ") * (2 * len(digits))
+    out[0::2] = digits
+    out[2 * k - 1::2 * k] = b"\n" * len(rows)
+    return out.decode("ascii")
 
 
 def write_matrix(t: TravisMatrix, start: int = 0, stop: Optional[int] = None) -> str:
@@ -95,12 +89,18 @@ def write_matrix(t: TravisMatrix, start: int = 0, stop: Optional[int] = None) ->
 
     Given ``start``/``stop``, only rows ``start:stop`` are written, and the
     header only when ``start`` is 0, so consecutive slices concatenate to the
-    whole text. Rows are formatted a block at a time; to write a large table
-    without holding all of its text, use :func:`matrix_chunks`.
+    whole text. Rows are formatted a block at a time: the block's rows are
+    printed as one binary big int, whose digits go to the even byte positions
+    of a text buffer of spaces, with a newline after each row's last digit.
+    To write a large table without holding all of its text, use
+    :func:`matrix_chunks`.
     """
     head = "vertices: " + " ".join(t.vertices) + "\n" if start == 0 else ""
-    blocks = _bit_blocks(t.rows[start:stop], t.n_cols)
-    return head + "".join(_matrix_lines(bits) for bits in blocks)
+    rows = t.rows[start:stop]
+    return head + "".join(
+        _matrix_lines(rows[i:i + _WRITE_BLOCK], t.n_cols)
+        for i in range(0, len(rows), _WRITE_BLOCK)
+    )
 
 
 def matrix_chunks(t: TravisMatrix) -> Iterator[str]:

@@ -23,10 +23,12 @@ paper's row selection and the relaxed colouring. Enumeration counts first
 and refuses a table above :data:`ROW_BUDGET` rows; it runs without the
 component cache, because its results are whole states, not parts of them.
 
-numpy is imported inside the functions that build arrays (the bit blocks,
-``TravisMatrix.cooc``/``column_int`` and the co-truth pass),
-not at module level: counting and enumeration use Python ints only, so a
-caller that only counts, enumerates or colours never loads numpy.
+numpy is imported inside the functions that build arrays
+(``TravisMatrix.cooc``/``column_int`` through the bit blocks, and the
+co-truth pass), not at module level: counting, enumeration and the text
+writers' digit strings (:func:`_row_digits`) use Python ints only, so a
+caller that only counts, enumerates, writes tables or colours never loads
+numpy.
 
 Bit conventions: the engine works on :mod:`ohg.core`'s masks, bit ``i`` =
 vertex ``i``, taken from :attr:`Hypergraph.context_masks` and
@@ -202,9 +204,23 @@ class TravisMatrix:
         return f"TravisMatrix({self.n_rows} states x {self.n_cols} vertices)"
 
 
-def _bit_blocks(
-    rows: Sequence[int], k: int, block: int = _WRITE_BLOCK
-) -> Iterator[np.ndarray]:
+def _row_digits(rows: Sequence[int], k: int) -> str:
+    """Each of ``rows`` as ``k`` binary digits, leading zeros included, in
+    one string. Adjacent rows are joined into ints of twice the width (an
+    odd count gets a zero row in front) until one int is left, printed once,
+    so the per-row Python work is one shift-or. A ``k`` above the rows'
+    column count puts zeros before every row."""
+    n = len(rows)
+    width = k
+    while len(rows) > 1:
+        if len(rows) & 1:
+            rows = [0, *rows]
+        rows = [a << width | b for a, b in zip(rows[0::2], rows[1::2])]
+        width *= 2
+    return format(rows[0], f"0{n * k}b") if n else ""
+
+
+def _bit_blocks(rows: Sequence[int], k: int, block: int) -> Iterator[np.ndarray]:
     """Consecutive slices of at most ``block`` packed rows, each as an
     ``(n, k)`` uint8 array of 0/1 entries in column order."""
     import numpy as np

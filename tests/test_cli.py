@@ -171,6 +171,8 @@ class TestRowBudget:
 
     @pytest.mark.parametrize("argv", [
         ["color", "{}", "--n", "3"],
+        # more colours than a context has vertices: refused as a table first
+        ["color", "{}", "--n", "4"],
         ["color", "{}", "--n", "3", "--algorithm", "relaxed"],
         ["states", "{}"],
     ])
@@ -247,6 +249,20 @@ class TestColor:
         elapsed = time.perf_counter() - start
         assert result.returncode == 1, result.stderr
         assert result.stdout == "no 1000000000-coloring from two-valued states\n"
+        assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
+
+    def test_more_colors_than_context_vertices(self, tmp_path, bind_bug):
+        # each of the 2,239,488 states is true on one of the 3 vertices of
+        # every context, so no 4 of them are pairwise disjoint; the answer
+        # must come without searching the table
+        path = tmp_path / "bind_bug.ohg"
+        path.write_text(write_ohg(bind_bug))
+        start = time.perf_counter()
+        result = run_ohg("color", str(path), "--n", "4", address_space=GIB,
+                         timeout=30)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == "no 4-coloring from two-valued states\n"
         assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
 
     def test_relaxed_json_has_no_rows(self, capsys, g32_file):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohg import gadgets, states
-from ohg.cli import main
+from ohg.cli import _json_with_rows, main
 from ohg.errors import OhgError, ParseError
 from ohg.formats import (
     matrix_chunks,
@@ -209,6 +209,66 @@ class TestMatrixWriter:
             assert elapsed <= 10.0, f"--out took {elapsed:.2f}s"
         finally:
             target.unlink(missing_ok=True)
+
+
+def _rows(rng: random.Random, k: int, n: int) -> tuple[int, ...]:
+    """``n`` rows of ``k`` columns: all zeros, all ones, rows whose leading
+    columns are 0, and uniform rows."""
+    ones = (1 << k) - 1
+    return tuple(rng.choice((
+        lambda: 0,
+        lambda: ones,
+        lambda: rng.getrandbits(rng.randrange(k)),
+        lambda: rng.getrandbits(k),
+    ))() for _ in range(n))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first differing line rather than a
+    diff of two texts of up to a megabyte."""
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b),
+                 min(len(g), len(w)))
+        pytest.fail(f"line {i}: {g[i:i + 1]} != {w[i:i + 1]} "
+                    f"({len(g)} lines, expected {len(w)})")
+
+
+_BLOCK = states._WRITE_BLOCK
+
+
+class TestMatrixWriterProperties:
+    """The big-int block formatter against the per-bit reference, on column
+    counts with and without whole bytes and on row counts that leave odd
+    counts in the fold and partial blocks in the writers."""
+
+    @settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+    @given(
+        k=st.one_of(st.sampled_from([1, 8, 64, 108, 200]), st.integers(1, 200)),
+        n=st.one_of(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                    st.integers(0, 40).map(lambda m: 2 * m + 1)),
+        seed=st.integers(0, 2 ** 32 - 1),
+        cut=st.tuples(st.floats(0, 1), st.one_of(st.none(), st.floats(0, 1))),
+    )
+    def test_writers_match_reference(self, k, n, seed, cut):
+        rng = random.Random(seed)
+        t = states.TravisMatrix(tuple(f"c{j}" for j in range(k)), _rows(rng, k, n))
+        want = reference_write_matrix(t)
+        assert_same_text(write_matrix(t), want)
+        chunks = list(matrix_chunks(t))
+        assert_same_text("".join(chunks), want)
+        assert all(c.count("\n") <= _BLOCK + 1 for c in chunks)
+        payload = {"vertices": list(t.vertices), "nTS": n}
+        assert_same_text("".join(_json_with_rows(payload, t)),
+                         reference_states_json(t))
+        # a slice that need not start or end on a block boundary
+        start = int(cut[0] * n)
+        stop = None if cut[1] is None else start + int(cut[1] * (n - start))
+        lines = want.splitlines(keepends=True)
+        assert_same_text(write_matrix(t, start, stop), "".join(
+            (lines[:1] if start == 0 else [])
+            + lines[1 + start:None if stop is None else 1 + stop]
+        ))
 
 
 class TestVectorFormat:

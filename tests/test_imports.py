@@ -37,6 +37,7 @@ def paths(tmp_path_factory):
     vec = root / "pentagon.vec"
     vec.write_text((resources.files("ohg") / "fixtures" / "pentagon.vec").read_text())
     out["pentagon_vec"] = str(vec)
+    out["matrix"] = str(root / "bug.mat")
     return out
 
 
@@ -73,6 +74,10 @@ def test_import_ohg_leaves_numpy_unloaded():
     ("color", "{bug}", "--n", "3", "--algorithm", "exact"),
     ("verify-for", "{pentagon}", "{pentagon_vec}"),
     ("export", "{bug}", "--format", "json"),
+    ("states", "{bug}"),
+    ("states", "{bug}", "--out", "{matrix}"),
+    ("states", "{bug}", "--format", "json"),
+    ("gadget", "bug", "--travis"),
 ], ids=" ".join)
 def test_numpy_free_commands(paths, args):
     before, after, code = probe(*(a.format(**paths) for a in args))
@@ -82,7 +87,6 @@ def test_numpy_free_commands(paths, args):
 
 @pytest.mark.parametrize("args", [
     ("classify", "{bug}"),
-    ("states", "{bug}"),
 ], ids=" ".join)
 def test_array_commands_load_numpy(paths, args):
     before, after, code = probe(*(a.format(**paths) for a in args))
