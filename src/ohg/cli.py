@@ -8,11 +8,6 @@ stable keys {vertices, contexts, nTS, verdicts, rows, extraContexts} where
 applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
-
-numpy is loaded only by the commands that build co-truth counts:
-``classify``, ``reconstruct`` and ``compose``. The others (``states`` in
-every output form, ``count``, ``gadget`` with or without ``--travis``,
-``chroma``, ``color``, ``verify-for``, ``export``) start without it.
 """
 
 from __future__ import annotations
@@ -194,8 +189,9 @@ def _cmd_color(args) -> int:
     if args.algorithm == "paper":
         t = states.enumerate_states(h)
         # a state is true on one vertex of each context, so n pairwise
-        # disjoint states need n distinct vertices in every context
-        fits = n <= min(len(c) for c in h.contexts)
+        # disjoint states cover exactly n vertices of every context: their
+        # colour classes partition the vertices only if every context has n
+        fits = all(len(c) == n for c in h.contexts)
         selection = coloring_mod.algorithm1(t, n) if fits else None
         if selection is not None:
             rows_out = list(selection.rows)

@@ -271,9 +271,7 @@ def _greedy_dsatur(nbr: tuple[int, ...], n: int) -> list[int]:
     return colors
 
 
-def exact_coloring(
-    h: Hypergraph, *, vertex_budget: int = _CHROMATIC_VERTEX_BUDGET
-) -> tuple[int, Coloring]:
+def exact_coloring(h: Hypergraph) -> tuple[int, Coloring]:
     """Exact chromatic number of the 2-section plus one optimal coloring.
 
     Branch and bound with DSATUR vertex ordering, the clique number as the
@@ -281,9 +279,10 @@ def exact_coloring(
     """
     g = core.two_section(h)
     n = len(g.vertices)
-    if n > vertex_budget:
+    if n > _CHROMATIC_VERTEX_BUDGET:
         raise SizeLimitError(
-            f"exact chromatic search capped at {vertex_budget} vertices, got {n}"
+            f"exact chromatic search capped at {_CHROMATIC_VERTEX_BUDGET} "
+            f"vertices, got {n}"
         )
     nbr = g.neighbor_masks
     lower = max(len(c) for c in core.maximal_cliques(g))
@@ -325,12 +324,9 @@ def exact_coloring(
     return best_count, Coloring(h, mapping)
 
 
-def exact_chromatic(
-    h: Hypergraph, *, vertex_budget: int = _CHROMATIC_VERTEX_BUDGET
-) -> int:
+def exact_chromatic(h: Hypergraph) -> int:
     """Exact chromatic number of the 2-section (see :func:`exact_coloring`)."""
-    count, _ = exact_coloring(h, vertex_budget=vertex_budget)
-    return count
+    return exact_coloring(h)[0]
 
 
 def brooks_bound(h: Hypergraph) -> int:

@@ -15,7 +15,6 @@ digit by digit. :func:`matrix_chunks` yields the text block by block, so a
 caller can write a multi-million-row table (the 2,239,488 x 108 matrix of
 the binding of the bug, 484 MB of text) with memory bounded by one block;
 ``ohg states --out`` and the matrix on standard output are written that way.
-The parsers and the writers are numpy-free.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ def adjacency_from_states(t: TravisMatrix | CoTruth) -> Graph:
     edges = set()
     for i in range(t.n_cols):
         for j in range(i + 1, t.n_cols):
-            if cooc[i, j] == 0:
+            if cooc[i][j] == 0:
                 edges.add(frozenset((t.vertices[i], t.vertices[j])))
     return Graph(t.vertices, frozenset(edges))
 
@@ -126,7 +126,7 @@ def evaluate(
     colsum = t.column_sums
     for i in range(t.n_cols):
         for j in range(i + 1, t.n_cols):
-            if cooc[i, j] == colsum[i] == colsum[j]:
+            if cooc[i][j] == colsum[i] == colsum[j]:
                 return Verdict(
                     "non_separable", witness=(t.vertices[i], t.vertices[j])
                 ), None
@@ -150,8 +150,8 @@ def _column_invariants(t: TravisMatrix) -> list[tuple]:
     cooc = t.cooc
     inv = []
     for i in range(t.n_cols):
-        off = sorted(int(cooc[i, j]) for j in range(t.n_cols) if j != i)
-        inv.append((int(cooc[i, i]), tuple(off)))
+        off = sorted(cooc[i][j] for j in range(t.n_cols) if j != i)
+        inv.append((cooc[i][i], tuple(off)))
     return inv
 
 
@@ -166,8 +166,6 @@ def _permute_row(row: int, col_map: list[int], k: int) -> int:
 def travis_equivalent(
     t1: TravisMatrix,
     t2: TravisMatrix,
-    *,
-    node_budget: int = _EQUIV_NODE_BUDGET,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A witness (row permutation, column permutation) carrying t1 onto t2.
 
@@ -216,9 +214,9 @@ def travis_equivalent(
             if used[j]:
                 continue
             nodes += 1
-            if nodes > node_budget:
+            if nodes > _EQUIV_NODE_BUDGET:
                 raise SizeLimitError("equivalence search exceeded its node budget")
-            if all(cooc1[i, i2] == cooc2[j, j2] for i2, j2 in assignment.items()):
+            if all(cooc1[i][i2] == cooc2[j][j2] for i2, j2 in assignment.items()):
                 assignment[i] = j
                 used[j] = True
                 if place(pos + 1):

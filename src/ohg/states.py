@@ -23,12 +23,11 @@ paper's row selection and the relaxed colouring. Enumeration counts first
 and refuses a table above :data:`ROW_BUDGET` rows; it runs without the
 component cache, because its results are whole states, not parts of them.
 
-numpy is imported inside the functions that build arrays
-(``TravisMatrix.cooc``/``column_int`` through the bit blocks, and the
-co-truth pass), not at module level: counting, enumeration and the text
-writers' digit strings (:func:`_row_digits`) use Python ints only, so a
-caller that only counts, enumerates, writes tables or colours never loads
-numpy.
+Pairwise co-truth counts have one form, from a table
+(:attr:`TravisMatrix.cooc`) or from the counter (:func:`cotruth`): a
+``k``-tuple of ``k``-tuples of exact Python ints, ``cooc[i][j]``, since the
+counts of the 378-vertex binding pass 2**63. The package needs nothing
+beyond the standard library.
 
 Bit conventions: the engine works on :mod:`ohg.core`'s masks, bit ``i`` =
 vertex ``i``, taken from :attr:`Hypergraph.context_masks` and
@@ -43,17 +42,11 @@ order to reading order once per state leaf of the search (:class:`_Rows`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Sequence,
-)
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import Hypergraph, _bits
 from .errors import (
@@ -63,10 +56,14 @@ from .errors import (
     RowLimitExceededError,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
-_COOC_CHUNK = 65536
+# Rows per block for TravisMatrix.cooc: 65536 rows x 108 columns is 0.9 MB
+_COOC_BLOCK = 65536
+# bytes 0 and 1 to the digits "0" and "1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# (shift, mask of an 8-byte word) of the delta swaps that transpose the 8 x 8
+# bit matrix in each word (Warren, Hacker's Delight, section 7-3)
+_TRANSPOSE8 = tuple((s, bytes.fromhex(m)) for s, m in (
+    (7, "00aa00aa00aa00aa"), (14, "0000cccc0000cccc"), (28, "00000000f0f0f0f0")))
 # Rows per block for the text writers: a block of 4096 rows x 108 columns is
 # under 1 MB of text, where 65536-row blocks raise the peak RSS of an export.
 _WRITE_BLOCK = 4096
@@ -143,33 +140,32 @@ class TravisMatrix:
 
         Bulk pairwise questions should go through :attr:`cooc` instead.
         """
-        import numpy as np
-
-        # every block but the last holds a multiple of 8 rows, so the packed
-        # bytes of consecutive blocks line up
-        packed = b"".join(
-            np.packbits(bits[:, col], bitorder="little").tobytes()
-            for bits in _bit_blocks(self.rows, self.n_cols, _COOC_CHUNK)
-        )
-        return int.from_bytes(packed, "little")
+        shift = repeat(self.n_cols - 1 - col)
+        bits = map(operator.and_, map(operator.rshift, reversed(self.rows), shift), repeat(1))
+        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
 
     @cached_property
-    def cooc(self) -> np.ndarray:
-        """Pairwise co-truth counts: ``cooc[i, j]`` = number of rows with both
-        columns 1; the diagonal holds column sums. Computed once in chunks, so
-        the 2.2M-row binding instance stays tractable."""
-        import numpy as np
-
+    def cooc(self) -> tuple[tuple[int, ...], ...]:
+        """Pairwise co-truth counts: ``cooc[i][j]`` = number of rows with both
+        columns 1; the diagonal holds column sums. Computed once, a block of
+        rows at a time: a count is the popcount of the AND of two columns,
+        each read as one int (:func:`_column_ints`)."""
         k = self.n_cols
-        counts = np.zeros((k, k), dtype=np.int64)
-        for bits in _bit_blocks(self.rows, k, _COOC_CHUNK):
-            bits = bits.astype(np.float32)
-            counts += (bits.T @ bits).astype(np.int64)
-        return counts
+        # upper[i][d] counts columns i and i + d
+        upper = [[0] * (k - i) for i in range(k)]
+        for start in range(0, self.n_rows, _COOC_BLOCK):
+            cols = _column_ints(self.rows[start:start + _COOC_BLOCK], k)
+            for i, ci in enumerate(cols):
+                both = map(int.bit_count, map(ci.__and__, cols[i:]))
+                upper[i] = list(map(operator.add, upper[i], both))
+        return tuple(
+            tuple(upper[j][i - j] for j in range(i)) + tuple(upper[i])
+            for i in range(k)
+        )
 
     @property
-    def column_sums(self) -> np.ndarray:
-        return self.cooc.diagonal()
+    def column_sums(self) -> tuple[int, ...]:
+        return _diagonal(self.cooc)
 
     @classmethod
     def from_bit_rows(
@@ -220,35 +216,50 @@ def _row_digits(rows: Sequence[int], k: int) -> str:
     return format(rows[0], f"0{n * k}b") if n else ""
 
 
-def _bit_blocks(rows: Sequence[int], k: int, block: int) -> Iterator[np.ndarray]:
-    """Consecutive slices of at most ``block`` packed rows, each as an
-    ``(n, k)`` uint8 array of 0/1 entries in column order."""
-    import numpy as np
+def _column_ints(rows: Sequence[int], k: int) -> list[int]:
+    """Each of the ``k`` columns of ``rows`` as an int: the first row at the
+    top bit, then a zero bit per row padding the count to a multiple of 8.
 
-    nbytes = (k + 7) // 8
-    pad = nbytes * 8 - k
-    for start in range(0, len(rows), block):
-        chunk = rows[start:start + block]
-        buf = b"".join(r.to_bytes(nbytes, "big") for r in chunk)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
-        yield np.unpackbits(packed, axis=1)[:, pad:]
+    A byte position of the rows, read down them, holds 8 columns; three
+    delta swaps transpose each of its 8 x 8 bit blocks, so that every 8th
+    byte of the result belongs to one column.
+    """
+    width = (k + 7) // 8
+    n = len(rows) + -len(rows) % 8
+    buf = b"".join(map(int.to_bytes, rows, repeat(width), repeat("big")))
+    buf += bytes(width * (n - len(rows)))
+    swaps = [(shift, int.from_bytes(word * (n // 8), "big"))
+             for shift, word in _TRANSPOSE8]
+    cols = []
+    for b in range(width):
+        v = int.from_bytes(buf[b::width], "big")
+        for shift, mask in swaps:
+            t = (v ^ v >> shift) & mask
+            v ^= t ^ t << shift
+        out = v.to_bytes(n, "big")
+        cols += (int.from_bytes(out[j::8], "big") for j in range(8))
+    return cols[8 * width - k:]
+
+
+def _diagonal(cooc: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(row[i] for i, row in enumerate(cooc))
 
 
 @dataclass(frozen=True, eq=False)
 class CoTruth:
     """State count and pairwise co-truth counts, without the rows.
 
-    ``cooc[i, j]`` is the number of states making columns ``i`` and ``j``
+    ``cooc[i][j]`` is the number of states making columns ``i`` and ``j``
     both true, and the diagonal holds the column sums, as in
-    :attr:`TravisMatrix.cooc`; the entries are exact Python ints, because
-    counts pass 2**63. The pairwise analyses (:func:`classify`,
+    :attr:`TravisMatrix.cooc`: a tuple of tuples of exact Python ints,
+    because counts pass 2**63. The pairwise analyses (:func:`classify`,
     :func:`gadget_scan`, :func:`gadget_profile` and the reconstruction)
     accept it in place of a table.
     """
 
     vertices: tuple[str, ...]
     nts: int
-    cooc: np.ndarray
+    cooc: tuple[tuple[int, ...], ...]
 
     @property
     def n_rows(self) -> int:
@@ -259,8 +270,8 @@ class CoTruth:
         return len(self.vertices)
 
     @property
-    def column_sums(self) -> np.ndarray:
-        return self.cooc.diagonal()
+    def column_sums(self) -> tuple[int, ...]:
+        return _diagonal(self.cooc)
 
     def __repr__(self) -> str:
         return f"CoTruth({self.nts} states x {self.n_cols} vertices)"
@@ -459,83 +470,86 @@ class _Count:
 
 class _CoTruthSum:
     """Co-truth counting: a result is ``None`` when there is no state, else
-    ``(n, scope, m)``.
+    ``(n, cols, m)``.
 
-    ``n`` is the number of states, ``scope`` a bitmask holding every vertex
-    they may set true, and ``m`` an object array of exact ints over the
-    columns of ``scope`` in ascending order: ``m[a, b]`` counts the states
-    making both columns true, and the diagonal holds the true counts.
+    ``n`` is the number of states, ``cols`` the indices of every vertex they
+    may set true, in any order, and ``m`` the co-truth counts over ``cols``
+    as rows of exact ints: ``m[a][b]`` counts the states making columns
+    ``cols[a]`` and ``cols[b]`` both true, and the diagonal holds the true
+    counts. Results are shared through the memo and never modified.
     """
 
     zero = None
 
-    def __init__(self):
-        import numpy as np
-
-        # bound once per pass, so that no node pays for an import statement
-        self.np = np
-
-    def columns(self, mask: int) -> np.ndarray:
-        """Ascending column indices of the bits of ``mask``."""
-        np = self.np
-        digits = np.frombuffer(format(mask, "b")[::-1].encode(), dtype=np.uint8)
-        return np.flatnonzero(digits == ord("1"))
-
-    def node(self, now: int, forced: int, parts: list[tuple]) -> tuple:
+    @staticmethod
+    def node(now: int, forced: int, parts: list[tuple]) -> tuple:
         """Independent parts under vertices true in every state.
 
         With ``n`` the product of the part counts, a forced column is true
         in all ``n`` states and column ``a`` of part ``i`` in
-        ``n / n_i * m_i[a, a]``, so those are also their co-truth counts
+        ``n / n_i * m_i[a][a]``, so those are also their co-truth counts
         with the forced columns. Columns ``a``, ``b`` of one part are jointly
-        true in ``n / n_i * m_i[a, b]`` states, of parts ``i != j`` in
-        ``n / (n_i * n_j) * m_i[a, a] * m_j[b, b]``.
+        true in ``n / n_i * m_i[a][b]`` states, of parts ``i != j`` in
+        ``n / (n_i * n_j) * m_i[a][a] * m_j[b][b]``. The forced columns come
+        first, then each part's columns in turn.
         """
         if not forced and len(parts) == 1:
             return parts[0]
-        np = self.np
         n = math.prod(p[0] for p in parts)
-        scope = forced
-        for _, part_scope, _ in parts:
-            scope |= part_scope
-        cols = self.columns(scope)
-        m = np.empty((len(cols), len(cols)), dtype=object)
-        f = np.searchsorted(cols, self.columns(forced))
-        m[np.ix_(f, f)] = n
-        placed = []
-        for part_n, part_scope, part_m in parts:
-            idx = np.searchsorted(cols, self.columns(part_scope))
+        cols = list(_bits(forced))
+        nf = len(cols)
+        diags = [_diagonal(part_m) for _, _, part_m in parts]
+        true_counts = [n] * nf
+        for (part_n, part_cols, _), diag in zip(parts, diags):
+            cols += part_cols
+            true_counts += map(operator.mul, diag, repeat(n // part_n))
+        m = [true_counts] * nf
+        for i, (part_n, _, part_m) in enumerate(parts):
             rest = n // part_n
-            m[np.ix_(idx, idx)] = part_m * rest if rest > 1 else part_m
-            diag = np.diagonal(part_m)
-            true_counts = diag * rest
-            m[np.ix_(f, idx)] = true_counts
-            m[np.ix_(idx, f)] = true_counts[:, None]
-            for idx2, diag2, n2 in placed:
-                block = np.multiply.outer(diag * (rest // n2), diag2)
-                m[np.ix_(idx, idx2)] = block
-                m[np.ix_(idx2, idx)] = block.T
-            placed.append((idx, diag, part_n))
-        return n, scope, m
+            for ta, part_row in zip(diags[i], part_m):
+                row = [ta * rest] * nf
+                for j, (n2, _, _) in enumerate(parts):
+                    if j == i:
+                        row += (map(operator.mul, part_row, repeat(rest))
+                                if rest > 1 else part_row)
+                    else:
+                        row += map(operator.mul, diags[j], repeat(ta * (rest // n2)))
+                m.append(row)
+        return n, cols, m
 
-    def add(self, results: list) -> Optional[tuple]:
-        """Branches of one context: counts and co-truth matrices add up."""
+    @staticmethod
+    def add(results: list) -> Optional[tuple]:
+        """Branches of one context: counts and co-truth matrices add up, over
+        the union of the branches' columns."""
         results = [r for r in results if r is not None]
         if len(results) <= 1:
             return results[0] if results else None
-        np = self.np
-        scope = 0
-        for _, part_scope, _ in results:
-            scope |= part_scope
-        cols = self.columns(scope)
-        m = np.zeros((len(cols), len(cols)), dtype=object)
-        for i, (_, part_scope, part_m) in enumerate(results):
-            idx = np.searchsorted(cols, self.columns(part_scope))
-            if i:
-                m[np.ix_(idx, idx)] += part_m
-            else:
-                m[np.ix_(idx, idx)] = part_m
-        return sum(r[0] for r in results), scope, m
+        cols = list(dict.fromkeys(c for _, part_cols, _ in results for c in part_cols))
+        # each branch's rows, by column, laid out over the union
+        spread = [dict(zip(part_cols, _spread(part_cols, part_m, cols)))
+                  for _, part_cols, part_m in results]
+        m = []
+        for c in cols:
+            rows = [s[c] for s in spread if c in s]
+            row = rows[0]
+            for other in rows[1:]:
+                row = list(map(operator.add, row, other))
+            m.append(row)
+        return sum(r[0] for r in results), cols, m
+
+
+def _spread(cols: Sequence[int], m: Sequence[Sequence[int]],
+            union: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows of the co-truth counts ``m`` over ``cols``, each laid out
+    over ``union``, a superset of ``cols`` in any order, with zeros at the
+    other columns."""
+    at = {c: a for a, c in enumerate(cols)}
+    # an index past the end of a row picks the 0 appended to it
+    idx = [at.get(c, len(cols)) for c in union]
+    # itemgetter of one index returns the entry itself, not a 1-tuple
+    pick = (operator.itemgetter(*idx) if len(idx) > 1
+            else lambda row: tuple(row[a] for a in idx))
+    return [pick([*row, 0]) for row in m]
 
 
 class _Rows:
@@ -615,18 +629,11 @@ def cotruth(h: Hypergraph) -> CoTruth:
     378-vertex binding (about 5.9e23 states) is analysed in seconds. The
     result equals ``enumerate_states(h).cooc`` entry for entry.
     """
-    import numpy as np
-
     k = len(h.vertices)
-    alg = _CoTruthSum()
-    res = _Problem(h).solve(alg, {})
-    cooc = np.zeros((k, k), dtype=object)
-    if res is None:
-        return CoTruth(h.vertices, 0, cooc)
-    n, scope, m = res
-    cols = alg.columns(scope)
-    cooc[np.ix_(cols, cols)] = m
-    return CoTruth(h.vertices, n, cooc)
+    n, cols, m = _Problem(h).solve(_CoTruthSum, {}) or (0, [], [])
+    rows = dict(zip(cols, _spread(cols, m, range(k))))
+    zeros = (0,) * k
+    return CoTruth(h.vertices, n, tuple(rows.get(v, zeros) for v in range(k)))
 
 
 def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
@@ -647,15 +654,15 @@ def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
     nts = t.n_rows
     cooc = t.cooc
     colsum = t.column_sums
-    unital = nts > 0 and bool((colsum > 0).all())
+    unital = nts > 0 and all(colsum)
     separable = True
     perfectly = True
     witness: Optional[tuple[str, str, int]] = None
     for i in range(k):
         for j in range(i + 1, k):
-            both = int(cooc[i, j])
-            item1 = int(colsum[j]) - both > 0  # some row has i=0, j=1
-            item2 = int(colsum[i]) - both > 0  # some row has i=1, j=0
+            both = cooc[i][j]
+            item1 = colsum[j] - both > 0  # some row has i=0, j=1
+            item2 = colsum[i] - both > 0  # some row has i=1, j=0
             if not item1 and not item2:
                 separable = False
             item3 = True
@@ -698,9 +705,9 @@ def gadget_scan(h: Hypergraph, t: TravisMatrix | CoTruth) -> GadgetScan:
             if i == j:
                 continue
             u, v = h.vertices[i], h.vertices[j]
-            if cooc[i, j] == 0 and not h.adjacent(u, v):
+            if cooc[i][j] == 0 and not h.adjacent(u, v):
                 tifs.add((u, v))
-            if colsum[i] > 0 and cooc[i, j] == colsum[i]:
+            if colsum[i] > 0 and cooc[i][j] == colsum[i]:
                 tits.add((u, v))
     return GadgetScan(frozenset(tifs), frozenset(tits))
 
@@ -714,10 +721,9 @@ def gadget_profile(t: TravisMatrix | CoTruth, head: str, tail: str) -> GadgetPro
         raise OhgError("head and tail of a gadget pair must differ")
     i = t.vertices.index(head)
     j = t.vertices.index(tail)
-    if int(t.cooc[i, j]) > 0:
+    if t.cooc[i][j] > 0:
         raise NotAGadgetPairError(
             f"{head!r} and {tail!r} are jointly true in some state"
         )
-    n_a = int(t.column_sums[i])
-    n_b = int(t.column_sums[j])
+    n_a, n_b = t.column_sums[i], t.column_sums[j]
     return GadgetProfile(head, tail, n_a, n_b, t.n_rows - n_a - n_b)

@@ -185,6 +185,26 @@ def random_pasting(rng: random.Random, max_contexts: int = 6,
     return core.build(contexts)
 
 
+def disjoint_union(a: str, b: str) -> str:
+    """Context-file text of two hypergraphs side by side; ``b``'s vertices
+    are renamed apart. The states are all pairs of states."""
+    renamed = "".join(" ".join("u" + v for v in line.split()) + "\n"
+                      for line in b.splitlines())
+    return a + renamed
+
+
+def random_rows(rng: random.Random, k: int, n: int) -> tuple[int, ...]:
+    """``n`` rows of ``k`` columns: all zeros, all ones, rows whose leading
+    columns are 0, and uniform rows."""
+    ones = (1 << k) - 1
+    return tuple(rng.choice((
+        lambda: 0,
+        lambda: ones,
+        lambda: rng.getrandbits(rng.randrange(k)),
+        lambda: rng.getrandbits(k),
+    ))() for _ in range(n))
+
+
 def assert_states_lawful(h: core.Hypergraph, t: states.TravisMatrix) -> None:
     """Every row must put exactly one 1 on every context (engine-independent
     check, straight from the definition)."""

@@ -219,7 +219,7 @@ def test_criterion_7_property_suites(bind_bug, bind_bug_matrix, pastings):
     for triple in gadgets.bind_corners():
         cols = [idx[v] for v in triple]
         for x, y in itertools.combinations(cols, 2):
-            assert t.cooc[x, y] == 0
+            assert t.cooc[x][y] == 0
         assert sum(int(t.column_sums[c]) for c in cols) == t.n_rows
 
     # the extension contexts leave the state set untouched

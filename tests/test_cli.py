@@ -1,6 +1,7 @@
 import json
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from ohg import gadgets, states
 from ohg.cli import main
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
-from conftest import child_options, ohg_argv, run_ohg
+from conftest import child_options, disjoint_union, ohg_argv, run_ohg
 
 GIB = 1 << 30
 
@@ -263,6 +264,28 @@ class TestColor:
         elapsed = time.perf_counter() - start
         assert result.returncode == 1, result.stderr
         assert result.stdout == "no 4-coloring from two-valued states\n"
+        assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("name", ["bug", "bind_g32+bug"])
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_fewer_colors_than_context_vertices(self, tmp_path, bug_file,
+                                                name, n):
+        # n pairwise disjoint states cover exactly n vertices of every
+        # context, so with 3-element contexts their classes leave vertices
+        # uncoloured; the answer must come without searching the table, also
+        # on bind(g32) beside bug (43,008 rows)
+        path = bug_file
+        if name == "bind_g32+bug":
+            g32 = gadgets.fixture("g32").hypergraph
+            bind_g32 = gadgets.bind(gadgets.BindSpec(g32, "v1", "v13"))
+            path = str(tmp_path / f"{name}.ohg")
+            Path(path).write_text(disjoint_union(
+                write_ohg(bind_g32), Path(bug_file).read_text()))
+        start = time.perf_counter()
+        result = run_ohg("color", path, "--n", n, address_space=GIB, timeout=10)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == f"no {n}-coloring from two-valued states\n"
         assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
 
     def test_relaxed_json_has_no_rows(self, capsys, g32_file):

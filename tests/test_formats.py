@@ -20,7 +20,7 @@ from ohg.formats import (
 )
 from ohg.geometry import VectorLabeling
 
-from conftest import random_pasting, run_ohg
+from conftest import disjoint_union, random_pasting, random_rows, run_ohg
 
 
 def reference_write_matrix(t: states.TravisMatrix) -> str:
@@ -37,14 +37,6 @@ def reference_states_json(t: states.TravisMatrix) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _disjoint_union(a: str, b: str) -> str:
-    """Context-file text of two hypergraphs side by side; ``b``'s vertices
-    are renamed apart. The states are all pairs of states."""
-    renamed = "".join(" ".join("u" + v for v in line.split()) + "\n"
-                      for line in b.splitlines())
-    return a + renamed
-
-
 def _writer_cases() -> dict[str, str]:
     cases = {name: write_ohg(gadgets.fixture(name).hypergraph)
              for name in gadgets.FIXTURE_NAMES
@@ -56,7 +48,7 @@ def _writer_cases() -> dict[str, str]:
     # 43,008 rows x 139 columns: eleven write blocks
     g32 = gadgets.fixture("g32").hypergraph
     bind_g32 = gadgets.bind(gadgets.BindSpec(g32, "v1", "v13"))
-    cases["bind_g32+bug"] = _disjoint_union(write_ohg(bind_g32), cases["bug"])
+    cases["bind_g32+bug"] = disjoint_union(write_ohg(bind_g32), cases["bug"])
     return cases
 
 
@@ -211,18 +203,6 @@ class TestMatrixWriter:
             target.unlink(missing_ok=True)
 
 
-def _rows(rng: random.Random, k: int, n: int) -> tuple[int, ...]:
-    """``n`` rows of ``k`` columns: all zeros, all ones, rows whose leading
-    columns are 0, and uniform rows."""
-    ones = (1 << k) - 1
-    return tuple(rng.choice((
-        lambda: 0,
-        lambda: ones,
-        lambda: rng.getrandbits(rng.randrange(k)),
-        lambda: rng.getrandbits(k),
-    ))() for _ in range(n))
-
-
 def assert_same_text(got: str, want: str) -> None:
     """``got == want``, reporting the first differing line rather than a
     diff of two texts of up to a megabyte."""
@@ -252,7 +232,7 @@ class TestMatrixWriterProperties:
     )
     def test_writers_match_reference(self, k, n, seed, cut):
         rng = random.Random(seed)
-        t = states.TravisMatrix(tuple(f"c{j}" for j in range(k)), _rows(rng, k, n))
+        t = states.TravisMatrix(tuple(f"c{j}" for j in range(k)), random_rows(rng, k, n))
         want = reference_write_matrix(t)
         assert_same_text(write_matrix(t), want)
         chunks = list(matrix_chunks(t))

@@ -139,7 +139,7 @@ class TestLayer:
         t = states.enumerate_states(lay)
         idx = {v: lay.vertices.index(v) for v in ("a", "b", "c")}
         for u, v in itertools.combinations(("a", "b", "c"), 2):
-            assert t.cooc[idx[u], idx[v]] == 0
+            assert t.cooc[idx[u]][idx[v]] == 0
 
     def test_layer_state_counts_by_corner_pattern(self, bug):
         # one corner true pins one copy's head and another's tail
@@ -195,7 +195,7 @@ class TestBind:
         for triple in gadgets.bind_corners():
             cols = [idx[v] for v in triple]
             for x, y in itertools.combinations(cols, 2):
-                assert t.cooc[x, y] == 0
+                assert t.cooc[x][y] == 0
             assert sum(int(t.column_sums[c]) for c in cols) == t.n_rows
 
     def test_state_count_matches_formula(self, bind_bug, bind_bug_matrix):

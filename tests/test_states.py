@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     brute_force_true_sets,
     engine_true_sets,
     random_pasting,
+    random_rows,
 )
 
 # the 3-cycle of 2-element contexts admits no two-valued state at all
@@ -173,8 +175,11 @@ class TestCount:
 def _same_counts(c: states.CoTruth, t: states.TravisMatrix) -> None:
     assert c.vertices == t.vertices
     assert c.nts == t.n_rows
-    assert c.cooc.shape == t.cooc.shape
-    assert c.cooc.tolist() == t.cooc.tolist()
+    assert type(c.cooc) is tuple and all(type(row) is tuple for row in c.cooc)
+    k = len(c.vertices)
+    assert len(c.cooc) == len(t.cooc) == k
+    assert all(len(row) == k for row in c.cooc)
+    assert c.cooc == t.cooc
 
 
 def _relabel(h: core.Hypergraph, names, order) -> tuple[core.Hypergraph, dict]:
@@ -213,8 +218,7 @@ class TestCoTruth:
     def test_matches_table_bind_bug(self, bind_bug, bind_bug_matrix):
         c = states.cotruth(bind_bug)
         _same_counts(c, bind_bug_matrix)
-        assert c.cooc.dtype == object
-        assert all(type(x) is int for x in c.cooc.ravel())
+        assert all(type(x) is int for row in c.cooc for x in row)
 
     def test_matches_table_random(self):
         rng = random.Random(2024)
@@ -226,7 +230,7 @@ class TestCoTruth:
         h = core.build(CONTRADICTORY)
         c = states.cotruth(h)
         assert c.nts == 0
-        assert not c.cooc.any()
+        assert not any(map(any, c.cooc))
         _same_counts(c, states.enumerate_states(h))
 
     def test_compared_by_identity(self, bug):
@@ -251,10 +255,51 @@ class TestCoTruth:
         c, c2 = states.cotruth(h), states.cotruth(h2)
         assert c2.nts == c.nts
         cols = [h2.index[rename[v]] for v in h.vertices]
-        assert c2.cooc[np.ix_(cols, cols)].tolist() == c.cooc.tolist()
+        assert tuple(tuple(c2.cooc[a][b] for b in cols) for a in cols) == c.cooc
         renamed = {frozenset(rename[v] for v in s)
                    for s in engine_true_sets(states.enumerate_states(h))}
         assert engine_true_sets(states.enumerate_states(h2)) == renamed
+
+
+def _check_table_counts(k: int, n: int, fill: str, rng: random.Random) -> None:
+    rows = {"mixed": random_rows(rng, k, n), "zeros": (0,) * n,
+            "ones": ((1 << k) - 1,) * n}[fill]
+    t = states.TravisMatrix(tuple(f"c{j}" for j in range(k)), rows)
+    bits = [t.row_bits(r) for r in range(n)]
+    # numpy as the oracle: a float64 product is exact below 2**53
+    a = np.array(bits, dtype=np.float64).reshape(n, k)
+    want = tuple(tuple(int(x) for x in row) for row in (a.T @ a).tolist())
+    assert t.cooc == want
+    assert all(type(x) is int for row in t.cooc for x in row)
+    assert t.column_sums == tuple(sum(b[j] for b in bits) for j in range(k))
+    for j in {0, k - 1, rng.randrange(k)}:
+        assert t.column_int(j) == sum(b[j] << r for r, b in enumerate(bits))
+
+
+class TestTableCounts:
+    """``TravisMatrix.cooc``, ``column_sums`` and ``column_int`` against the
+    rows read one at a time, on row counts around the block size B: with B
+    patched down for tables up to 200 columns wide, and at the real B for a
+    narrow table."""
+
+    @settings(max_examples=40, deadline=None, report_multiple_bugs=False)
+    @given(
+        k=st.one_of(st.sampled_from([1, 8, 64, 108, 200]), st.integers(1, 200)),
+        block=st.sampled_from([8, 13, 1000]),
+        edge=st.sampled_from([None, -1, 0, 1]),
+        small=st.one_of(st.sampled_from([0, 1]), st.integers(0, 80)),
+        fill=st.sampled_from(["mixed", "zeros", "ones"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_counts_match_rows(self, k, block, edge, small, fill, seed):
+        n = small if edge is None else block + edge
+        with mock.patch.object(states, "_COOC_BLOCK", block):
+            _check_table_counts(k, n, fill, random.Random(seed))
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_counts_at_block_size(self, edge):
+        _check_table_counts(20, states._COOC_BLOCK + edge, "mixed",
+                            random.Random(edge))
 
 
 class TestClassify:
