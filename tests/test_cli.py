@@ -219,6 +219,25 @@ class TestColor:
                            "--algorithm", "exact")
         assert code == 0
 
+    @pytest.mark.parametrize("name, rows", [
+        ("bug", [1, 7, 14]),
+        ("pentagon", [1, 8, 11]),
+        ("fig4", [1, 774, 2553]),
+        ("bind_bug", [1, 1231088, 2234304]),
+    ])
+    def test_canonical_order_selection(self, capsys, tmp_path, bind_bug,
+                                       name, rows):
+        # the rows algorithm1 finds in the canonically ordered table
+        h = bind_bug if name == "bind_bug" else gadgets.fixture(name).hypergraph
+        path = tmp_path / f"{name}.ohg"
+        path.write_text(write_ohg(h))
+        code, out, _ = run(capsys, "color", str(path), "--n", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "rows: " + " ".join(map(str, rows))
+        code, out, _ = run(capsys, "color", str(path), "--n", "3",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["rows"] == rows
+
     def test_json(self, capsys, bug_file):
         code, out, _ = run(capsys, "color", bug_file, "--n", "3",
                            "--format", "json")
