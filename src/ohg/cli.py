@@ -187,17 +187,11 @@ def _cmd_color(args) -> int:
     rows_out: Optional[list[int]] = None
     col: Optional[coloring_mod.Coloring] = None
     if args.algorithm == "paper":
-        t = states.enumerate_states(h)
-        # a state is true on one vertex of each context, so n pairwise
-        # disjoint states cover exactly n vertices of every context: their
-        # colour classes partition the vertices only if every context has n
-        fits = all(len(c) == n for c in h.contexts)
-        selection = coloring_mod.algorithm1(t, n) if fits else None
-        if selection is not None:
+        found = coloring_mod.paper_coloring(h, n)
+        if found is not None:
+            selection, partition = found
             rows_out = list(selection.rows)
-            col = coloring_mod.coloring_from_partition(
-                coloring_mod.partition_from_rows(h, t, selection)
-            )
+            col = coloring_mod.coloring_from_partition(partition)
     elif args.algorithm == "relaxed":
         t = states.enumerate_states(h)
         col = coloring_mod.relaxed_coloring(t, h, n)

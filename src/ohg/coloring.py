@@ -5,6 +5,15 @@ a partition into n independent dominating cells, and each cell's indicator is
 a two-valued state. The row-selection search (:func:`algorithm1`) exploits
 that: it hunts for n pairwise non-conflicting rows of the state table, whose
 sum is then the all-ones vector.
+
+On a hypergraph, :func:`paper_coloring` finds the same rows, mostly without
+the table. :func:`algorithm1` always picks row 1 first, and while that pick
+stands its search sees only the rows disjoint from row 1, in table order. So
+the unchanged search over the small table of row 1 followed by the states
+disjoint from it, in canonical order, makes the same find as over the whole
+table whenever that find starts with row 1; the rows are then numbered by
+their canonical ranks (:class:`ohg.states.CanonicalRows`). Any other outcome
+falls back to the whole table.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import core
+from . import core, states
 from .core import Graph, Hypergraph
 from .errors import (
     ColumnCountMismatchError,
@@ -26,6 +35,10 @@ from .errors import (
 from .states import TravisMatrix, TwoValuedState
 
 _CHROMATIC_VERTEX_BUDGET = 64
+# Row-conflict tests algorithm1 makes before it gives up: the whole search of
+# the 2,239,488-row table of bind(bug) makes about 2.2 million, while a
+# table of 43,008 rows can take up to 43,008**2 / 2 (about 9.2e8).
+_ALGORITHM1_TEST_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,9 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
       exhausted every row.
 
     Rows are 1-based in the result. ``None`` means the exhaustive search
-    proved no such selection exists.
+    proved no such selection exists. Each pick is tested against every row
+    still available; past :data:`_ALGORITHM1_TEST_BUDGET` such tests the
+    search stops with :class:`SizeLimitError`.
     """
     if n < 1:
         raise OhgError("the number of colors must be positive")
@@ -173,6 +188,7 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
     available = list(range(t.n_rows))
     chosen: list[int] = []
     removed: dict[int, list[int]] = {i: [] for i in range(1, n + 2)}
+    tests = 0
     i = 1
     while i <= n and (i != 1 or available):
         if not available:
@@ -189,6 +205,12 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
                 chosen.append(pick)
             removed[i].append(pick)
             i += 1
+            tests += len(available)
+            if tests > _ALGORITHM1_TEST_BUDGET:
+                raise SizeLimitError(
+                    f"row selection search stopped after {_ALGORITHM1_TEST_BUDGET} "
+                    f"row-conflict tests on a table of {t.n_rows} rows"
+                )
             conflicts = [s for s in available if rows[s] & rows[pick]]
             removed[i].extend(conflicts)
             if conflicts:
@@ -196,6 +218,57 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
     if i > n and len(chosen) == n:
         return RowSelection(tuple(r + 1 for r in chosen))
     return None
+
+
+def paper_coloring(
+    h: Hypergraph, n: int
+) -> Optional[tuple[RowSelection, PartitionSystem]]:
+    """The selection ``algorithm1(enumerate_states(h), n)`` and the partition
+    into the true sets of its rows, or ``None`` when there is no colouring
+    from ``n`` states.
+
+    The states are counted first, and above :data:`ohg.states.ROW_BUDGET`
+    the call is refused as :func:`~ohg.states.enumerate_states` refuses the
+    table. A state is true on one vertex of each context, so ``n`` pairwise
+    disjoint states cover exactly ``n`` vertices of every context: they
+    partition the vertices only if every context has ``n``, and otherwise
+    the answer is ``None`` at once.
+
+    The table itself is built only as a fallback. :func:`algorithm1` picks
+    row 1 first, and while that pick stands, the rows it can add are those
+    disjoint from row 1, available in table order, so its later levels run
+    the same on any table that lists row 1 and then exactly those rows in
+    canonical order. Over that small table it therefore finds the same rows
+    whenever the find on the whole table starts with row 1; their indices
+    there are their canonical ranks. Until it leaves row 1 the search makes
+    fewer tests than on the whole table, by the rows that conflict with row
+    1: a budget stop there is one on the whole table too, and a find may
+    come where the whole table's search would stop. Any other outcome (no
+    find, a find without row 1, a stop after leaving row 1) is settled by
+    the whole table.
+    """
+    if n < 1:
+        raise OhgError("the number of colors must be positive")
+    order = states.CanonicalRows(h)
+    states.check_row_budget(order.nts)
+    if not order.nts or any(len(c) != n for c in h.contexts):
+        return None
+    first = order.first()
+    small = TravisMatrix(h.vertices, (first, *order.disjoint(first)))
+    try:
+        found = algorithm1(small, n)
+    except SizeLimitError:
+        found = None
+    if found is not None and found.rows[0] == 1:
+        rows = [small.rows[r - 1] for r in found.rows]
+        selection = RowSelection(tuple(map(order.rank, rows)))
+        cells = tuple(small.row_true_set(r - 1) for r in found.rows)
+        return selection, PartitionSystem(h, cells)
+    t = states.enumerate_states(h)
+    selection = algorithm1(t, n)
+    if selection is None:
+        return None
+    return selection, partition_from_rows(h, t, selection)
 
 
 def verify_rows(t: TravisMatrix, selection: RowSelection) -> bool:

@@ -18,10 +18,16 @@ per-vertex true counts and pairwise co-truth counts (:func:`cotruth`), or the
 rows themselves (:func:`enumerate_states`). The pairwise analyses
 (classification, gadget scans and profiles, reconstruction by the adjacency
 criterion) need nothing else, so they run without a state table, on the
-378-vertex binding too. Only row-level work enumerates: the state matrix, the
-paper's row selection and the relaxed colouring. Enumeration counts first
-and refuses a table above :data:`ROW_BUDGET` rows; it runs without the
-component cache, because its results are whole states, not parts of them.
+378-vertex binding too. Only row-level work enumerates: the state matrix,
+the relaxed colouring and, only as a fallback, the paper's row selection.
+Enumeration counts first and refuses a table above :data:`ROW_BUDGET` rows;
+it runs without the component cache, because its results are whole states,
+not parts of them.
+
+Counts under a fixed prefix of the columns place a state in the canonical row
+order without the table (:class:`CanonicalRows`): the first row, the rank of
+any state, and the states disjoint from a given one, which is all the paper's
+row selection needs when its find starts with row 1.
 
 Pairwise co-truth counts have one form, from a table
 (:attr:`TravisMatrix.cooc`) or from the counter (:func:`cotruth`): a
@@ -568,7 +574,7 @@ class _Rows:
         OR-ing one row of each part gives a whole state.
         """
         if not parts:
-            return [int(format(now, f"0{self.k}b")[::-1], 2)]
+            return [_mirror(now, self.k)]
         rows = parts[0]
         for part in parts[1:]:
             rows = [a | b for a in rows for b in part]
@@ -579,6 +585,91 @@ class _Rows:
         rows: list[int] = []
         for part in results:
             rows.extend(part)
+        return rows
+
+
+def _mirror(mask: int, k: int) -> int:
+    """``mask`` with its ``k`` low bits reversed: an engine mask (bit ``i`` =
+    vertex ``i``) as a row in reading order, and back."""
+    return int(format(mask, f"0{k}b")[::-1], 2)
+
+
+def check_row_budget(n: int, *, row_limit: Optional[int] = None) -> None:
+    """Refuse a state table of ``n`` rows above ``row_limit`` (default
+    :data:`ROW_BUDGET`) with :class:`RowLimitExceededError`."""
+    limit, what = ((ROW_BUDGET, "row budget") if row_limit is None
+                   else (row_limit, "row limit"))
+    if n > limit:
+        raise RowLimitExceededError(
+            f"the state table would have {n} rows, above the {what} of {limit}"
+        )
+
+
+class CanonicalRows:
+    """The canonical row order of a hypergraph's states, without the table.
+
+    Row ``r`` of :func:`enumerate_states` is the ``r``-th state in that
+    order: by the first column, 1 before 0, then by the second, and so on.
+    Rows here are ints in reading order, as in :class:`TravisMatrix`. Each
+    answer comes from counts of the states that agree with a prefix of the
+    columns (:meth:`count`), and every count shares one component memo. That
+    is sound because each call passes the neighbours of its true vertices in
+    ``zeros``, as the search does when it sets a vertex true (propagation
+    zeroes the neighbours only of the vertices it forces itself): no
+    undetermined vertex has a true neighbour, so a memo key ``(group_bits,
+    und)`` means the same in every call.
+    """
+
+    def __init__(self, h: Hypergraph):
+        self._prob = _Problem(h)
+        self._memo: dict = {}
+        self.k = len(h.vertices)
+        #: the number of states, the table's row count
+        self.nts = self.count()
+
+    def count(self, ones: int = 0, zeros: int = 0) -> int:
+        """Number of states true on the vertices of ``ones`` and false on
+        those of ``zeros``, both masks in :mod:`ohg.core`'s order (bit ``i``
+        = vertex ``i``)."""
+        nbr = self._prob.nbr
+        for v in _bits(ones):
+            zeros |= nbr[v]
+        if ones & zeros:
+            return 0
+        return self._prob.solve(_Count, self._memo, fresh=ones, zeros=zeros)
+
+    def first(self) -> int:
+        """Row 1, the largest state: column by column, 1 wherever some state
+        agrees with the columns before it and has 1 there. Needs a state."""
+        ones = zeros = 0
+        for v in range(self.k):
+            if self.count(ones | 1 << v, zeros):
+                ones |= 1 << v
+            else:
+                zeros |= 1 << v
+        return _mirror(ones, self.k)
+
+    def rank(self, row: int) -> int:
+        """The 1-based index of the state ``row`` in the canonical table: one
+        more than the number of states that agree with it up to some column
+        where it has 0 and they have 1."""
+        state = _mirror(row, self.k)
+        rank = 1
+        ones = zeros = 0
+        for v in range(self.k):
+            if state >> v & 1:
+                ones |= 1 << v
+            else:
+                rank += self.count(ones | 1 << v, zeros)
+                zeros |= 1 << v
+        return rank
+
+    def disjoint(self, row: int) -> list[int]:
+        """The states false on every vertex ``row`` makes true, in canonical
+        order: a table of them alone, enumerated with those vertices set to
+        0 from the start."""
+        rows = self._prob.solve(_Rows(self.k), None, zeros=_mirror(row, self.k))
+        rows.sort(reverse=True)
         return rows
 
 
@@ -593,13 +684,7 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     when only the pairwise counts are.
     """
     prob = _Problem(h)
-    limit, what = ((ROW_BUDGET, "row budget") if row_limit is None
-                   else (row_limit, "row limit"))
-    n = prob.solve(_Count, {})
-    if n > limit:
-        raise RowLimitExceededError(
-            f"the state table would have {n} rows, above the {what} of {limit}"
-        )
+    check_row_budget(prob.solve(_Count, {}), row_limit=row_limit)
     rows = prob.solve(_Rows(len(h.vertices)), None)
     rows.sort(reverse=True)
     return TravisMatrix(h.vertices, tuple(rows))

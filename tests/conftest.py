@@ -154,19 +154,19 @@ def brute_force_four_cycles(h: core.Hypergraph) -> bool:
 
 
 def random_pasting(rng: random.Random, max_contexts: int = 6,
-                   max_vertices: int = 22) -> core.Hypergraph:
-    """A random connected pasting of 3-element contexts, any two contexts
-    sharing at most one vertex (the Greechie drawing convention)."""
+                   max_vertices: int = 22, size: int = 3) -> core.Hypergraph:
+    """A random connected pasting of ``size``-element contexts, any two
+    contexts sharing at most one vertex (the Greechie drawing convention)."""
     fresh = itertools.count()
 
     def new_vertex() -> str:
         return f"t{next(fresh)}"
 
-    contexts: list[tuple[str, ...]] = [tuple(new_vertex() for _ in range(3))]
+    contexts: list[tuple[str, ...]] = [tuple(new_vertex() for _ in range(size))]
     vertices = set(contexts[0])
     adjacent: dict[str, set[str]] = {v: set(contexts[0]) - {v} for v in contexts[0]}
     target = rng.randint(2, max_contexts)
-    while len(contexts) < target and len(vertices) + 2 <= max_vertices:
+    while len(contexts) < target and len(vertices) + size - 1 <= max_vertices:
         n_shared = rng.choice((1, 1, 1, 2))
         pool = sorted(vertices)
         shared: list[str] = []
@@ -176,7 +176,7 @@ def random_pasting(rng: random.Random, max_contexts: int = 6,
                 shared.append(v)
             if len(shared) == n_shared:
                 break
-        new = list(shared) + [new_vertex() for _ in range(3 - len(shared))]
+        new = list(shared) + [new_vertex() for _ in range(size - len(shared))]
         ctx = tuple(new)
         contexts.append(ctx)
         for v in ctx:

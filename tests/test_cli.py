@@ -28,6 +28,18 @@ def g32_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def bind_g32_bug_file(tmp_path, bug_file):
+    """bind(g32) beside bug, a disjoint union: 43,008 states, all contexts of
+    3 vertices, no 3-colouring from states."""
+    g32 = gadgets.fixture("g32").hypergraph
+    bind_g32 = gadgets.bind(gadgets.BindSpec(g32, "v1", "v13"))
+    path = tmp_path / "bind_g32+bug.ohg"
+    path.write_text(disjoint_union(write_ohg(bind_g32),
+                                   Path(bug_file).read_text()))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -287,25 +299,40 @@ class TestColor:
 
     @pytest.mark.parametrize("name", ["bug", "bind_g32+bug"])
     @pytest.mark.parametrize("n", ["1", "2"])
-    def test_fewer_colors_than_context_vertices(self, tmp_path, bug_file,
+    def test_fewer_colors_than_context_vertices(self, request, bug_file,
                                                 name, n):
         # n pairwise disjoint states cover exactly n vertices of every
         # context, so with 3-element contexts their classes leave vertices
         # uncoloured; the answer must come without searching the table, also
         # on bind(g32) beside bug (43,008 rows)
-        path = bug_file
-        if name == "bind_g32+bug":
-            g32 = gadgets.fixture("g32").hypergraph
-            bind_g32 = gadgets.bind(gadgets.BindSpec(g32, "v1", "v13"))
-            path = str(tmp_path / f"{name}.ohg")
-            Path(path).write_text(disjoint_union(
-                write_ohg(bind_g32), Path(bug_file).read_text()))
+        path = (bug_file if name == "bug"
+                else request.getfixturevalue("bind_g32_bug_file"))
         start = time.perf_counter()
         result = run_ohg("color", path, "--n", n, address_space=GIB, timeout=10)
         elapsed = time.perf_counter() - start
         assert result.returncode == 1, result.stderr
         assert result.stdout == f"no {n}-coloring from two-valued states\n"
         assert elapsed <= 10.0, f"refusal took {elapsed:.2f}s"
+
+    def test_selection_search_budget(self, bind_g32_bug_file):
+        # row 1 has no disjoint state, so the whole table of 43,008 rows is
+        # searched; without a work budget that takes far beyond the timeout
+        result = run_ohg("color", bind_g32_bug_file, "--n", "3",
+                         address_space=GIB, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "row-conflict tests" in result.stderr
+
+    def test_table_not_built(self, capsys, tmp_path, bind_bug, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the state table was built")
+
+        monkeypatch.setattr(states, "enumerate_states", refuse)
+        path = tmp_path / "bind_bug.ohg"
+        path.write_text(write_ohg(bind_bug))
+        code, out, _ = run(capsys, "color", str(path), "--n", "3")
+        assert code == 0
+        assert out.startswith("rows: 1 1231088 2234304\n")
 
     def test_relaxed_json_has_no_rows(self, capsys, g32_file):
         _, out, _ = run(capsys, "color", g32_file, "--n", "4",

@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ohg import core, gadgets, states
+from ohg import coloring, core, gadgets, states
 from ohg.coloring import (
     Coloring,
     PartitionSystem,
@@ -16,6 +18,7 @@ from ohg.coloring import (
     coloring_from_partition,
     exact_chromatic,
     exact_coloring,
+    paper_coloring,
     partition_from_coloring,
     partition_from_rows,
     relaxed_coloring,
@@ -27,12 +30,14 @@ from ohg.errors import (
     NotAStateError,
     NotDominatingError,
     NotProperError,
+    OhgError,
+    RowLimitExceededError,
     SizeLimitError,
 )
-from ohg.formats import write_ohg
+from ohg.formats import parse_ohg, write_ohg
 from ohg.reconstruction import reconstruct
 
-from conftest import random_pasting, run_ohg
+from conftest import disjoint_union, random_pasting, run_ohg
 
 TRIANGLE_COLORING = {
     "a1": 1, "a4": 1, "a2": 2, "a5": 2, "a3": 3, "a6": 3,
@@ -183,6 +188,111 @@ class TestAlgorithm1:
             for r in (2, 3)
             for combo in itertools.combinations(range(1, 4), r)
         )
+
+
+    def test_work_budget(self, monkeypatch):
+        # the exhaustive search of g32's table tests 15 rows against picks
+        ref = gadgets.fixture("g32").travis
+        monkeypatch.setattr(coloring, "_ALGORITHM1_TEST_BUDGET", 15)
+        assert algorithm1(ref, 3) is None
+        monkeypatch.setattr(coloring, "_ALGORITHM1_TEST_BUDGET", 14)
+        with pytest.raises(SizeLimitError, match="row-conflict tests"):
+            algorithm1(ref, 3)
+
+
+def _paper_outcome(h, n):
+    """``paper_coloring``'s selection, the partition checked against the
+    rows of the whole table; ``"stop"`` for a stop at the work budget."""
+    try:
+        found = paper_coloring(h, n)
+    except SizeLimitError:
+        return "stop"
+    if found is None:
+        return None
+    selection, partition = found
+    t = states.enumerate_states(h)
+    assert partition == partition_from_rows(h, t, selection)
+    return selection
+
+
+def _table_outcome(h, n):
+    try:
+        return algorithm1(states.enumerate_states(h), n)
+    except SizeLimitError:
+        return "stop"
+
+
+class TestPaperColoring:
+    """``paper_coloring`` against ``algorithm1`` over the whole canonical
+    table, whose selection it must equal."""
+
+    @pytest.mark.parametrize("name", ["k3", "triangle", "pentagon", "bug",
+                                      "g32", "g32x", "underlying", "fig4"])
+    def test_fixtures(self, name):
+        h = gadgets.fixture(name).hypergraph
+        assert _paper_outcome(h, 3) == _table_outcome(h, 3)
+
+    def test_ghz_reconstructed(self):
+        h = reconstruct(gadgets.fixture("ghz").travis, 4).filtered_hypergraph
+        want = _table_outcome(h, 4)
+        assert want is not None and _paper_outcome(h, 4) == want
+
+    def test_no_state(self):
+        h = core.build([("a", "b"), ("b", "c"), ("a", "c")])
+        assert paper_coloring(h, 2) is None
+
+    def test_bind_bug(self, bind_bug, bind_bug_matrix):
+        selection, partition = paper_coloring(bind_bug, 3)
+        assert selection == algorithm1(bind_bug_matrix, 3)
+        assert selection == RowSelection((1, 1231088, 2234304))
+        assert partition == partition_from_rows(bind_bug, bind_bug_matrix,
+                                                selection)
+
+    def test_contexts_of_other_sizes(self, bug):
+        # two disjoint states leave a vertex of every 3-element context over
+        assert paper_coloring(bug, 2) is None
+        with pytest.raises(OhgError, match="positive"):
+            paper_coloring(bug, 0)
+
+    def test_row_budget(self, bug, monkeypatch):
+        monkeypatch.setattr(states, "ROW_BUDGET", 13)
+        with pytest.raises(RowLimitExceededError, match="row budget of 13"):
+            paper_coloring(bug, 3)
+
+    @pytest.mark.parametrize("name, table", [("bug", False), ("g32", True)])
+    def test_table_only_as_fallback(self, monkeypatch, name, table):
+        # g32 has no three disjoint states, so no find starts with row 1
+        built = []
+        enumerate_states = states.enumerate_states
+        monkeypatch.setattr(states, "enumerate_states",
+                            lambda h: built.append(h) or enumerate_states(h))
+        h = gadgets.fixture(name).hypergraph
+        paper_coloring(h, 3)
+        assert bool(built) == table
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 5),
+           beside_g32=st.booleans())
+    def test_random_pastings(self, seed, size, beside_g32):
+        # beside g32 (3-element contexts) nothing has three disjoint
+        # states, so the whole table settles the answer
+        h = random_pasting(random.Random(seed), size=size)
+        if beside_g32 and size == 3:
+            g32 = gadgets.fixture("g32").hypergraph
+            h = parse_ohg(disjoint_union(write_ohg(h), write_ohg(g32)))
+        assert _paper_outcome(h, size) == _table_outcome(h, size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 5),
+           budget=st.integers(1, 80))
+    def test_random_pastings_small_budget(self, seed, size, budget):
+        # the small table's search is cheaper while row 1 stands, so it may
+        # answer where the whole table stops; otherwise the outcomes agree
+        h = random_pasting(random.Random(seed), size=size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coloring, "_ALGORITHM1_TEST_BUDGET", budget)
+            got, want = _paper_outcome(h, size), _table_outcome(h, size)
+        assert got == want or want == "stop"
 
 
 class TestVerifyRows:

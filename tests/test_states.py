@@ -137,6 +137,66 @@ class TestEnumerate:
         assert seen == sorted(seen)
 
 
+def _check_canonical(h: core.Hypergraph) -> None:
+    t = states.enumerate_states(h)
+    order = states.CanonicalRows(h)
+    assert order.nts == t.n_rows
+    if not t.n_rows:
+        return
+    assert order.first() == t.rows[0]
+    assert [order.rank(r) for r in t.rows] == list(range(1, t.n_rows + 1))
+    for r in {t.rows[0], t.rows[-1]}:
+        assert order.disjoint(r) == [s for s in t.rows if not s & r]
+
+
+class TestCanonicalRows:
+    """Row 1, ranks and the states disjoint from a row, from prefix counts
+    on one shared memo, against the canonical table."""
+
+    @pytest.mark.parametrize("name", ["k3", "triangle", "pentagon", "bug",
+                                      "g32", "g32x", "underlying", "fig4"])
+    def test_fixtures(self, name):
+        _check_canonical(gadgets.fixture(name).hypergraph)
+
+    def test_random_pastings(self):
+        rng = random.Random(2025)
+        for size in (2, 3, 4, 5) * 6:
+            _check_canonical(random_pasting(rng, size=size))
+
+    def test_contradictory(self):
+        order = states.CanonicalRows(core.build(CONTRADICTORY))
+        assert order.nts == 0 and order.count(1, 0) == 0
+
+    def test_counts_match_table(self, bug):
+        # true on one random set of vertices and false on another, adjacent
+        # and overlapping sets included, after counts that fill the memo
+        t = states.enumerate_states(bug)
+        order = states.CanonicalRows(bug)
+        sets = [t.row_true_set(r) for r in range(t.n_rows)]
+
+        def mask(vs):
+            return sum(1 << bug.index[v] for v in vs)
+
+        rng = random.Random(5)
+        for _ in range(300):
+            ones = set(rng.sample(bug.vertices, rng.randint(0, 3)))
+            zeros = set(rng.sample(bug.vertices, rng.randint(0, 5)))
+            want = sum(ones <= s and not zeros & s for s in sets)
+            assert order.count(mask(ones), mask(zeros)) == want
+
+    def test_bind_bug(self, bind_bug, bind_bug_matrix):
+        t = bind_bug_matrix
+        order = states.CanonicalRows(bind_bug)
+        assert order.nts == t.n_rows
+        assert order.first() == t.rows[0]
+        rng = random.Random(3)
+        picks = {0, 1, 1231087, 2234303, t.n_rows - 1,
+                 *rng.sample(range(t.n_rows), 20)}
+        assert all(order.rank(t.rows[i]) == i + 1 for i in picks)
+        assert order.disjoint(t.rows[0]) == [r for r in t.rows
+                                             if not r & t.rows[0]]
+
+
 class TestCount:
     """Counts from the component-cached counter."""
 
