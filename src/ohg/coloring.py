@@ -240,12 +240,13 @@ def paper_coloring(
     the same on any table that lists row 1 and then exactly those rows in
     canonical order. Over that small table it therefore finds the same rows
     whenever the find on the whole table starts with row 1; their indices
-    there are their canonical ranks. Until it leaves row 1 the search makes
-    fewer tests than on the whole table, by the rows that conflict with row
-    1: a budget stop there is one on the whole table too, and a find may
-    come where the whole table's search would stop. Any other outcome (no
-    find, a find without row 1, a stop after leaving row 1) is settled by
-    the whole table.
+    there are their canonical ranks. Every find there does start with row
+    1: ``n`` disjoint states cover every vertex, so one of them meets row 1.
+    Until it leaves row 1 the search makes fewer tests than on the whole
+    table, by the rows that conflict with row 1: a budget stop there is one
+    on the whole table too, and a find may come where the whole table's
+    search would stop. No find, or a stop after leaving row 1, is settled
+    by the whole table.
     """
     if n < 1:
         raise OhgError("the number of colors must be positive")
@@ -259,11 +260,9 @@ def paper_coloring(
         found = algorithm1(small, n)
     except SizeLimitError:
         found = None
-    if found is not None and found.rows[0] == 1:
-        rows = [small.rows[r - 1] for r in found.rows]
-        selection = RowSelection(tuple(map(order.rank, rows)))
-        cells = tuple(small.row_true_set(r - 1) for r in found.rows)
-        return selection, PartitionSystem(h, cells)
+    if found is not None:
+        ranks = tuple(order.rank(small.rows[r - 1]) for r in found.rows)
+        return RowSelection(ranks), partition_from_rows(h, small, found)
     t = states.enumerate_states(h)
     selection = algorithm1(t, n)
     if selection is None:

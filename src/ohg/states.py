@@ -558,6 +558,12 @@ def _spread(cols: Sequence[int], m: Sequence[Sequence[int]],
     return [pick([*row, 0]) for row in m]
 
 
+def _mirror(mask: int, k: int) -> int:
+    """``mask`` with its ``k`` low bits reversed: an engine mask (bit ``i`` =
+    vertex ``i``) as a row in reading order, and back."""
+    return int(format(mask, f"0{k}b")[::-1], 2)
+
+
 class _Rows:
     """Enumeration: a result is the list of the states themselves, as rows
     in reading order (see the module docstring)."""
@@ -586,12 +592,6 @@ class _Rows:
         for part in results:
             rows.extend(part)
         return rows
-
-
-def _mirror(mask: int, k: int) -> int:
-    """``mask`` with its ``k`` low bits reversed: an engine mask (bit ``i`` =
-    vertex ``i``) as a row in reading order, and back."""
-    return int(format(mask, f"0{k}b")[::-1], 2)
 
 
 def check_row_budget(n: int, *, row_limit: Optional[int] = None) -> None:
@@ -623,7 +623,7 @@ class CanonicalRows:
     def __init__(self, h: Hypergraph):
         self._prob = _Problem(h)
         self._memo: dict = {}
-        self.k = len(h.vertices)
+        self._k = len(h.vertices)
         #: the number of states, the table's row count
         self.nts = self.count()
 
@@ -642,21 +642,21 @@ class CanonicalRows:
         """Row 1, the largest state: column by column, 1 wherever some state
         agrees with the columns before it and has 1 there. Needs a state."""
         ones = zeros = 0
-        for v in range(self.k):
+        for v in range(self._k):
             if self.count(ones | 1 << v, zeros):
                 ones |= 1 << v
             else:
                 zeros |= 1 << v
-        return _mirror(ones, self.k)
+        return _mirror(ones, self._k)
 
     def rank(self, row: int) -> int:
         """The 1-based index of the state ``row`` in the canonical table: one
         more than the number of states that agree with it up to some column
         where it has 0 and they have 1."""
-        state = _mirror(row, self.k)
+        state = _mirror(row, self._k)
         rank = 1
         ones = zeros = 0
-        for v in range(self.k):
+        for v in range(self._k):
             if state >> v & 1:
                 ones |= 1 << v
             else:
@@ -668,7 +668,7 @@ class CanonicalRows:
         """The states false on every vertex ``row`` makes true, in canonical
         order: a table of them alone, enumerated with those vertices set to
         0 from the start."""
-        rows = self._prob.solve(_Rows(self.k), None, zeros=_mirror(row, self.k))
+        rows = self._prob.solve(_Rows(self._k), None, zeros=_mirror(row, self._k))
         rows.sort(reverse=True)
         return rows
 

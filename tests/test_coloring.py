@@ -270,6 +270,21 @@ class TestPaperColoring:
         paper_coloring(h, 3)
         assert bool(built) == table
 
+    def test_stop_on_small_table_falls_back(self, bug, monkeypatch):
+        # a stop on the small table may come after the search left row 1
+        calls = []
+
+        def stop_on_small_table(t, n):
+            calls.append(t.n_rows)
+            if len(calls) == 1:
+                raise SizeLimitError("stopped")
+            return algorithm1(t, n)
+
+        monkeypatch.setattr(coloring, "algorithm1", stop_on_small_table)
+        selection, _ = paper_coloring(bug, 3)
+        assert selection == RowSelection((1, 7, 14))
+        assert calls[1] == 14 and calls[0] < 14
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 5),
            beside_g32=st.booleans())
