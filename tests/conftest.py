@@ -139,6 +139,43 @@ def brute_force_two_section_edges(h: core.Hypergraph) -> set[frozenset[str]]:
     return edges
 
 
+def brute_force_chromatic(h: core.Hypergraph) -> int:
+    """Chromatic number of the 2-section: the clique number found by trying
+    every vertex subset, then a plain backtracking k-colouring for k = that
+    number, one more, and so on."""
+    n = len(h.vertices)
+    assert n <= 12, "brute force chromatic oracle capped at 12 vertices"
+    edges = brute_force_two_section_edges(h)
+    adjacent = [[frozenset((u, v)) in edges for v in h.vertices]
+                for u in h.vertices]
+    omega = max(
+        len(subset)
+        for r in range(1, n + 1)
+        for subset in itertools.combinations(range(n), r)
+        if all(adjacent[u][v] for u, v in itertools.combinations(subset, 2))
+    )
+
+    def colourable(k: int) -> bool:
+        colour = [0] * n
+
+        def place(v: int) -> bool:
+            if v == n:
+                return True
+            for c in range(1, k + 1):
+                if all(not adjacent[u][v] or colour[u] != c for u in range(v)):
+                    colour[v] = c
+                    if place(v + 1):
+                        return True
+            return False
+
+        return place(0)
+
+    k = omega
+    while not colourable(k):
+        k += 1
+    return k
+
+
 def brute_force_four_cycles(h: core.Hypergraph) -> bool:
     """Whether any four distinct contexts close an intertwine cycle with four
     distinct intertwining vertices."""

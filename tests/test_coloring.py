@@ -37,7 +37,13 @@ from ohg.errors import (
 from ohg.formats import parse_ohg, write_ohg
 from ohg.reconstruction import reconstruct
 
-from conftest import disjoint_union, random_pasting, run_ohg
+from conftest import (
+    brute_force_chromatic,
+    brute_force_two_section_edges,
+    disjoint_union,
+    random_pasting,
+    run_ohg,
+)
 
 TRIANGLE_COLORING = {
     "a1": 1, "a4": 1, "a2": 2, "a5": 2, "a3": 3, "a6": 3,
@@ -386,6 +392,53 @@ class TestChromatic:
 
     def test_k4(self):
         assert exact_chromatic(core.build([("a", "b", "c", "d")])) == 4
+
+    # exact_coloring's colour of each vertex, in vertex order
+    @pytest.mark.parametrize("name, colors", [
+        ("k3", "123"),
+        ("triangle", "132132"),
+        ("pentagon", "1323132132"),
+        ("bug", "1321312312323"),
+        ("g32", "123121312342234"),
+        ("g32x", "123121341342241"),
+        ("underlying", "123231312"),
+        ("fig4", "1321321231231232123233213131232332131312323"),
+    ])
+    def test_pinned_fixture_colorings(self, name, colors):
+        h = gadgets.fixture(name).hypergraph
+        chi, c = exact_coloring(h)
+        assert "".join(str(c.color_of[v]) for v in h.vertices) == colors
+        assert chi == int(max(colors))
+
+    # greedy DSATUR uses 4 colours on each of these pastings; on the first
+    # four the search finds 3, on the last three it proves that 4 is optimal
+    @pytest.mark.parametrize("seed, colors", [
+        (94, "3212312132312232323"),
+        (99, "31232131122321"),
+        (122, "312123123322323123"),
+        (150, "123132132132"),
+        (105, "3241323212132321312"),
+        (288, "1232314123"),
+        (310, "13231232234322123"),
+    ])
+    def test_pinned_random_colorings(self, seed, colors):
+        h = random_pasting(random.Random(seed), max_contexts=12, max_vertices=21)
+        chi, c = exact_coloring(h)
+        assert "".join(str(c.color_of[v]) for v in h.vertices) == colors
+        assert chi == int(max(colors))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 4))
+    def test_random_pastings_against_brute_force(self, seed, size):
+        h = random_pasting(random.Random(seed), max_contexts=10,
+                           max_vertices=12, size=size)
+        chi, c = exact_coloring(h)
+        assert chi == brute_force_chromatic(h)
+        assert chi >= core.shape(h).clique_number
+        assert c.num_colors == chi
+        for edge in brute_force_two_section_edges(h):
+            u, v = edge
+            assert c.color_of[u] != c.color_of[v]
 
 
 class TestBrooks:
