@@ -95,7 +95,7 @@ def _cmd_states(args) -> int:
         if args.progress:
             def progress(total: int) -> None:
                 print(f"states so far: {total}", file=sys.stderr)
-        n = states.count_states(h, jobs=args.jobs, progress=progress)
+        n = states.count_states(h, progress=progress)
         if args.format == "json":
             _emit_json({"vertices": list(h.vertices), "nTS": n})
         else:

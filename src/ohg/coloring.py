@@ -9,11 +9,13 @@ sum is then the all-ones vector.
 On a hypergraph, :func:`paper_coloring` finds the same rows, mostly without
 the table. :func:`algorithm1` always picks row 1 first, and while that pick
 stands its search sees only the rows disjoint from row 1, in table order. So
-the unchanged search over the small table of row 1 followed by the states
-disjoint from it, in canonical order, makes the same find as over the whole
-table whenever that find starts with row 1; the rows are then numbered by
-their canonical ranks (:class:`ohg.states.CanonicalRows`). Any other outcome
-falls back to the whole table.
+the unchanged search for ``n - 1`` rows among the states disjoint from row 1,
+in canonical order, with row 1 put in front, makes the same find as over the
+whole table whenever that find starts with row 1; the rows are then numbered
+by their canonical ranks (:class:`ohg.states.CanonicalRows`). Only when that
+search finds nothing does the whole table decide. The chromatic number
+(:func:`exact_coloring`) comes from one branch and bound, whose first leaf is
+the greedy DSATUR colouring.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import core, states
-from .core import Graph, Hypergraph
+from .core import Hypergraph
 from .errors import (
     ColumnCountMismatchError,
     DisconnectedError,
@@ -234,19 +236,15 @@ def paper_coloring(
     partition the vertices only if every context has ``n``, and otherwise
     the answer is ``None`` at once.
 
-    The table itself is built only as a fallback. :func:`algorithm1` picks
-    row 1 first, and while that pick stands, the rows it can add are those
-    disjoint from row 1, available in table order, so its later levels run
-    the same on any table that lists row 1 and then exactly those rows in
-    canonical order. Over that small table it therefore finds the same rows
-    whenever the find on the whole table starts with row 1; their indices
-    there are their canonical ranks. Every find there does start with row
-    1: ``n`` disjoint states cover every vertex, so one of them meets row 1.
-    Until it leaves row 1 the search makes fewer tests than on the whole
-    table, by the rows that conflict with row 1: a budget stop there is one
-    on the whole table too, and a find may come where the whole table's
-    search would stop. No find, or a stop after leaving row 1, is settled
-    by the whole table.
+    The table is built only as a fallback. On the whole table,
+    :func:`algorithm1` picks row 1 first. While that pick stands, its levels
+    2..n see exactly the states disjoint from row 1, in canonical order, and
+    make the same picks and tests as its search for ``n - 1`` rows (``n >= 2``,
+    as contexts have two vertices or more) in a table of those states alone.
+    So a find there, with row 1 in front, is the whole table's find, numbered
+    by canonical ranks (:class:`ohg.states.CanonicalRows`), and a stop at the
+    work budget there is a stop on the whole table too. Only ``None`` leaves
+    the answer to the whole table, whose find then does not contain row 1.
     """
     if n < 1:
         raise OhgError("the number of colors must be positive")
@@ -255,14 +253,12 @@ def paper_coloring(
     if not order.nts or any(len(c) != n for c in h.contexts):
         return None
     first = order.first()
-    small = TravisMatrix(h.vertices, (first, *order.disjoint(first)))
-    try:
-        found = algorithm1(small, n)
-    except SizeLimitError:
-        found = None
+    rest = TravisMatrix(h.vertices, tuple(order.disjoint(first)))
+    found = algorithm1(rest, n - 1)
     if found is not None:
-        ranks = tuple(order.rank(small.rows[r - 1]) for r in found.rows)
-        return RowSelection(ranks), partition_from_rows(h, small, found)
+        rows = (first, *(rest.rows[r - 1] for r in found.rows))
+        cells = tuple(map(TravisMatrix(h.vertices, rows).row_true_set, range(n)))
+        return RowSelection(tuple(map(order.rank, rows))), PartitionSystem(h, cells)
     t = states.enumerate_states(h)
     selection = algorithm1(t, n)
     if selection is None:
@@ -303,95 +299,54 @@ def color_to_state(coloring: Coloring, color: int) -> TwoValuedState:
     return TwoValuedState(h.vertices, members)
 
 
-def _two_section_components(g: Graph) -> int:
-    n = len(g.vertices)
-    if n == 0:
-        return 0
-    nbr = g.neighbor_masks
-    seen = 0
-    comps = 0
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comps += 1
-        frontier = 1 << start
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for v in core._bits(frontier):
-                nxt |= nbr[v]
-            frontier = nxt & ~seen
-    return comps
-
-
-def _greedy_dsatur(nbr: tuple[int, ...], n: int) -> list[int]:
-    colors = [0] * n
-    for _ in range(n):
-        best, best_key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v]:
-                continue
-            sat = len({colors[u] for u in core._bits(nbr[v]) if colors[u]})
-            key = (sat, nbr[v].bit_count())
-            if key > best_key:
-                best, best_key = v, key
-        used = {colors[u] for u in core._bits(nbr[best])}
-        c = 1
-        while c in used:
-            c += 1
-        colors[best] = c
-    return colors
-
-
 def exact_coloring(h: Hypergraph) -> tuple[int, Coloring]:
     """Exact chromatic number of the 2-section plus one optimal coloring.
 
-    Branch and bound with DSATUR vertex ordering, the clique number as the
-    lower bound and a greedy coloring as the incumbent.
+    Branch and bound with DSATUR vertex ordering (Brélaz, 1979) and the
+    clique number as the lower bound. Colours are tried in increasing order,
+    so the first leaf, the first incumbent, is the greedy DSATUR colouring.
     """
-    g = core.two_section(h)
-    n = len(g.vertices)
+    n = len(h.vertices)
     if n > _CHROMATIC_VERTEX_BUDGET:
         raise SizeLimitError(
             f"exact chromatic search capped at {_CHROMATIC_VERTEX_BUDGET} "
             f"vertices, got {n}"
         )
+    g = core.two_section(h)
     nbr = g.neighbor_masks
     lower = max(len(c) for c in core.maximal_cliques(g))
-    greedy = _greedy_dsatur(nbr, n)
-    best_count = max(greedy)
-    best = list(greedy)
-    if best_count > lower:
-        colors = [0] * n
+    colors = [0] * n
+    best: list[int] = []
+    best_count = n + 1
 
-        def descend(colored: int, used: int) -> None:
-            nonlocal best_count, best
-            if used >= best_count:
+    def descend(colored: int, used: int) -> None:
+        nonlocal best_count, best
+        if used >= best_count:
+            return
+        if colored == n:
+            best_count = used
+            best = list(colors)
+            return
+        pick, pick_key = -1, (-1, -1)
+        for v in range(n):
+            if colors[v]:
+                continue
+            sat = len({colors[u] for u in core._bits(nbr[v]) if colors[u]})
+            key = (sat, nbr[v].bit_count())
+            if key > pick_key:
+                pick, pick_key = v, key
+        taken = {colors[u] for u in core._bits(nbr[pick])}
+        limit = min(used + 1, best_count - 1)
+        for c in range(1, limit + 1):
+            if c in taken:
+                continue
+            colors[pick] = c
+            descend(colored + 1, max(used, c))
+            colors[pick] = 0
+            if best_count == lower:
                 return
-            if colored == n:
-                best_count = used
-                best = list(colors)
-                return
-            pick, pick_key = -1, (-1, -1)
-            for v in range(n):
-                if colors[v]:
-                    continue
-                sat = len({colors[u] for u in core._bits(nbr[v]) if colors[u]})
-                key = (sat, nbr[v].bit_count())
-                if key > pick_key:
-                    pick, pick_key = v, key
-            taken = {colors[u] for u in core._bits(nbr[pick])}
-            limit = min(used + 1, best_count - 1)
-            for c in range(1, limit + 1):
-                if c in taken:
-                    continue
-                colors[pick] = c
-                descend(colored + 1, max(used, c))
-                colors[pick] = 0
-                if best_count == lower:
-                    return
 
-        descend(0, 0)
+    descend(0, 0)
     mapping = {g.vertices[v]: best[v] for v in range(n)}
     return best_count, Coloring(h, mapping)
 
@@ -405,11 +360,18 @@ def brooks_bound(h: Hypergraph) -> int:
     """Brooks' upper bound on the chromatic number of the 2-section:
     the maximum degree, except one more for complete graphs and odd cycles.
     Requires a connected 2-section."""
-    g = core.two_section(h)
-    if _two_section_components(g) != 1:
+    nbr = h.neighbor_masks
+    n = len(nbr)
+    seen = frontier = 1
+    while frontier:
+        seen |= frontier
+        reach = 0
+        for v in core._bits(frontier):
+            reach |= nbr[v]
+        frontier = reach & ~seen
+    if seen != (1 << n) - 1:
         raise DisconnectedError("Brooks bound needs a connected 2-section")
-    n = len(g.vertices)
-    degrees = [m.bit_count() for m in g.neighbor_masks]
+    degrees = [m.bit_count() for m in nbr]
     delta = max(degrees)
     complete = all(d == n - 1 for d in degrees)
     odd_cycle = n % 2 == 1 and all(d == 2 for d in degrees)

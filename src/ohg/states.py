@@ -691,17 +691,13 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
 
 
 def count_states(
-    h: Hypergraph,
-    *,
-    jobs: int = 1,
-    progress: Optional[Callable[[int], None]] = None,
+    h: Hypergraph, *, progress: Optional[Callable[[int], None]] = None
 ) -> int:
     """Number of two-valued states, without storing rows.
 
-    Counting is serial and caches the count of every residual component for
-    the duration of the call. ``jobs`` is accepted for compatibility and does
-    not change the result. ``progress`` is invoked with the running total
-    after each branch of the root node.
+    Counting caches the count of every residual component for the duration
+    of the call. ``progress`` is invoked with the running total after each
+    branch of the root node.
     """
     return _Problem(h).solve(_Count, {}, progress=progress)
 
@@ -804,6 +800,9 @@ def gadget_profile(t: TravisMatrix | CoTruth, head: str, tail: str) -> GadgetPro
     three counts would not partition the states)."""
     if head == tail:
         raise OhgError("head and tail of a gadget pair must differ")
+    for v in (head, tail):
+        if v not in t.vertices:
+            raise OhgError(f"{v!r} is not a column of the state table")
     i = t.vertices.index(head)
     j = t.vertices.index(tail)
     if t.cooc[i][j] > 0:

@@ -276,20 +276,28 @@ class TestPaperColoring:
         paper_coloring(h, 3)
         assert bool(built) == table
 
-    def test_stop_on_small_table_falls_back(self, bug, monkeypatch):
-        # a stop on the small table may come after the search left row 1
-        calls = []
+    def test_stop_while_row_one_stands(self, bind_bug, monkeypatch):
+        # a stop among the states disjoint from row 1 is a stop on the
+        # whole table too, so the table is not built
+        def refuse(h):
+            raise AssertionError("the whole table was built")
 
-        def stop_on_small_table(t, n):
-            calls.append(t.n_rows)
-            if len(calls) == 1:
-                raise SizeLimitError("stopped")
-            return algorithm1(t, n)
+        monkeypatch.setattr(coloring, "_ALGORITHM1_TEST_BUDGET", 1)
+        monkeypatch.setattr(states, "enumerate_states", refuse)
+        with pytest.raises(SizeLimitError, match="row-conflict tests"):
+            paper_coloring(bind_bug, 3)
 
-        monkeypatch.setattr(coloring, "algorithm1", stop_on_small_table)
-        selection, _ = paper_coloring(bug, 3)
-        assert selection == RowSelection((1, 7, 14))
-        assert calls[1] == 14 and calls[0] < 14
+    def test_find_without_row_one(self):
+        # restored rows go to the end of the available list, so the find is
+        # not increasing, nor the lexicographically first partition
+        # (9, 10, 25, 45); this is random_pasting(random.Random(202), size=4)
+        h = core.build([line.split() for line in (
+            "t0 t1 t2 t3", "t1 t4 t5 t6", "t2 t6 t7 t8", "t0 t9 t10 t11",
+            "t3 t6 t12 t13")])
+        t = states.enumerate_states(h)
+        assert t.n_rows == 45
+        assert algorithm1(t, 4) == RowSelection((9, 43, 13, 26))
+        assert _paper_outcome(h, 4) == RowSelection((9, 43, 13, 26))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 5),
@@ -307,8 +315,9 @@ class TestPaperColoring:
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 5),
            budget=st.integers(1, 80))
     def test_random_pastings_small_budget(self, seed, size, budget):
-        # the small table's search is cheaper while row 1 stands, so it may
-        # answer where the whole table stops; otherwise the outcomes agree
+        # the search of the states disjoint from row 1 makes fewer tests
+        # than the whole table's, so it may answer where the whole table
+        # stops; otherwise the outcomes agree
         h = random_pasting(random.Random(seed), size=size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(coloring, "_ALGORITHM1_TEST_BUDGET", budget)

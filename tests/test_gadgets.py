@@ -202,9 +202,6 @@ class TestBind:
         assert bind_bug_matrix.n_rows == predicted_bind_count(3, 3, 8)
         assert states.count_states(bind_bug) == 2239488
 
-    def test_parallel_count_agrees(self, bind_bug):
-        assert states.count_states(bind_bug, jobs=2) == 2239488
-
     def test_bind_separable(self, bind_bug, bind_bug_matrix):
         c = states.classify(bind_bug, bind_bug_matrix)
         assert c.separable and c.unital

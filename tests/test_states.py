@@ -100,7 +100,7 @@ class TestEnumerate:
 
     def test_count_states_parallel(self, bug):
         seen = []
-        assert states.count_states(bug, jobs=2, progress=seen.append) == 14
+        assert states.count_states(bug, progress=seen.append) == 14
         assert seen[-1] == 14
 
     def test_engine_vs_brute_force_fixtures(self):
@@ -227,7 +227,7 @@ class TestCount:
 
     def test_progress_running_totals(self, bind_bug):
         seen = []
-        assert states.count_states(bind_bug, jobs=2, progress=seen.append) == 2239488
+        assert states.count_states(bind_bug, progress=seen.append) == 2239488
         assert seen == sorted(seen)
         assert seen[-1] == 2239488
 
@@ -470,6 +470,12 @@ class TestGadgetProfile:
         t = states.enumerate_states(bug)
         with pytest.raises(NotAGadgetPairError):
             states.gadget_profile(t, "v1", "v4")
+
+    @pytest.mark.parametrize("head, tail", [("v99", "v7"), ("v1", "v99")])
+    def test_unknown_vertex(self, bug, head, tail):
+        for t in (states.enumerate_states(bug), states.cotruth(bug)):
+            with pytest.raises(OhgError, match="'v99' is not a column"):
+                states.gadget_profile(t, head, tail)
 
     def test_partition_invariant_random(self):
         rng = random.Random(99)
