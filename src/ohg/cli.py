@@ -8,22 +8,18 @@ stable keys {vertices, contexts, nTS, verdicts, rows, extraContexts} where
 applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
+
+Each subcommand imports the package modules it calls, and :mod:`json` only
+when it prints JSON, so that a command loads only the code it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
-from typing import Iterator, Optional
 
-from . import coloring as coloring_mod
-from . import core, gadgets, geometry, states
 from .errors import OhgError, SizeLimitError
-from .formats import matrix_chunks, parse_ohg, parse_vectors, write_ohg
-from .reconstruction import evaluate as reconstruction_evaluate
 
 _DOT_PALETTE = (
     "red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta",
@@ -33,21 +29,30 @@ _DOT_PALETTE = (
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise OhgError(f"cannot read {path}: {exc}") from None
 
 
 def _load_hypergraph(path: str) -> core.Hypergraph:
+    from .formats import parse_ohg
+
     return parse_ohg(_read(path))
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
 def _json_with_rows(payload: dict, t: states.TravisMatrix) -> Iterator[str]:
     """``_emit_json({**payload, "rows": [row digit strings]})`` in chunks."""
+    import json
+
+    from . import states
+
     text = json.dumps({**payload, "rows": []}, indent=2) + "\n"
     if not t.n_rows:
         yield text
@@ -89,6 +94,9 @@ def _dot_structure(h: core.Hypergraph, fills: Optional[dict[str, int]] = None) -
 
 
 def _cmd_states(args) -> int:
+    from . import states
+    from .formats import matrix_chunks
+
     h = _load_hypergraph(args.file)
     if args.count_only:
         progress = None
@@ -119,12 +127,14 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import coloring, core, states
+
     h = _load_hypergraph(args.file)
     c = states.classify(h, states.cotruth(h))
     rep = core.shape(h)
     semi: Optional[bool]
     try:
-        semi = coloring_mod.exact_chromatic(h) == rep.clique_number
+        semi = coloring.exact_chromatic(h) == rep.clique_number
     except SizeLimitError:
         semi = None
     if args.format == "json":
@@ -155,8 +165,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import reconstruction
+
     h = _load_hypergraph(args.file)
-    v, rec = reconstruction_evaluate(h, n=args.n)
+    v, rec = reconstruction.evaluate(h, n=args.n)
     kind = v.kind.replace("_", "-")
     extra = [sorted(c) for c in (rec.extra_contexts if rec else ())]
     missing = [sorted(c) for c in (rec.missing_contexts if rec else ())]
@@ -180,23 +192,27 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from . import coloring
+
     h = _load_hypergraph(args.file)
     n = args.n
     if n < 1:
         raise OhgError("the number of colors must be positive")
     rows_out: Optional[list[int]] = None
-    col: Optional[coloring_mod.Coloring] = None
+    col: Optional[coloring.Coloring] = None
     if args.algorithm == "paper":
-        found = coloring_mod.paper_coloring(h, n)
+        found = coloring.paper_coloring(h, n)
         if found is not None:
             selection, partition = found
             rows_out = list(selection.rows)
-            col = coloring_mod.coloring_from_partition(partition)
+            col = coloring.coloring_from_partition(partition)
     elif args.algorithm == "relaxed":
+        from . import states
+
         t = states.enumerate_states(h)
-        col = coloring_mod.relaxed_coloring(t, h, n)
+        col = coloring.relaxed_coloring(t, h, n)
     else:
-        chi, best = coloring_mod.exact_coloring(h)
+        chi, best = coloring.exact_coloring(h)
         if chi <= n:
             col = best
     if col is None:
@@ -222,12 +238,14 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_chroma(args) -> int:
+    from . import coloring
+
     h = _load_hypergraph(args.file)
     if args.brooks:
-        value = coloring_mod.brooks_bound(h)
+        value = coloring.brooks_bound(h)
         key = "brooksBound"
     else:
-        value = coloring_mod.exact_chromatic(h)
+        value = coloring.exact_chromatic(h)
         key = "chromatic"
     if args.format == "json":
         _emit_json({"vertices": list(h.vertices), key: value})
@@ -237,6 +255,9 @@ def _cmd_chroma(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    from . import gadgets
+    from .formats import matrix_chunks, write_ohg
+
     fx = gadgets.fixture(args.name)
     if args.travis:
         if fx.travis is None:
@@ -252,6 +273,9 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from . import gadgets
+    from .formats import write_ohg
+
     gadget = _load_hypergraph(args.file)
     spec = gadgets.BindSpec(gadget, args.head, args.tail)
     composed = gadgets.layer(spec) if args.kind == "layer" else gadgets.bind(spec)
@@ -272,7 +296,12 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    value = gadgets.predicted_bind_count(args.na, args.nb, args.nn)
+    from . import gadgets
+
+    try:
+        value = gadgets.predicted_bind_count(args.na, args.nb, args.nn)
+    except ValueError as exc:
+        raise OhgError(str(exc)) from None
     if args.format == "json":
         _emit_json({"count": value})
     else:
@@ -281,9 +310,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify_for(args) -> int:
+    from . import geometry
+    from .formats import parse_vectors
+
     h = _load_hypergraph(args.file)
     labeling = parse_vectors(_read(args.vectors))
-    report = geometry.verify_for(h, labeling, tol=args.tol)
+    tol = geometry.DEFAULT_TOLERANCE if args.tol is None else args.tol
+    report = geometry.verify_for(h, labeling, tol=tol)
     if args.format == "json":
         _emit_json({
             "vertices": list(h.vertices),
@@ -320,6 +353,8 @@ def _cmd_export(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .gadgets import FIXTURE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="ohg",
         description="Analyze orthogonality hypergraphs via their two-valued states.",
@@ -366,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chroma)
 
     p = sub.add_parser("gadget", help="emit a catalogued fixture")
-    p.add_argument("name", choices=gadgets.FIXTURE_NAMES)
+    p.add_argument("name", choices=FIXTURE_NAMES)
     p.add_argument("--travis", action="store_true",
                    help="emit the reference state table instead")
     p.set_defaults(func=_cmd_gadget)
@@ -389,7 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-for", help="check a vector labeling")
     p.add_argument("file")
     p.add_argument("vectors")
-    p.add_argument("--tol", type=float, default=geometry.DEFAULT_TOLERANCE)
+    # None stands for geometry.DEFAULT_TOLERANCE, so that building the
+    # parser does not load geometry
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify_for)
 

@@ -20,11 +20,10 @@ the greedy DSATUR colouring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import core, states
-from .core import Hypergraph
+from . import core
+from .core import Hypergraph, record
 from .errors import (
     ColumnCountMismatchError,
     DisconnectedError,
@@ -34,7 +33,9 @@ from .errors import (
     OhgError,
     SizeLimitError,
 )
-from .states import TravisMatrix, TwoValuedState
+
+if TYPE_CHECKING:
+    from .states import TravisMatrix, TwoValuedState
 
 _CHROMATIC_VERTEX_BUDGET = 64
 # Row-conflict tests algorithm1 makes before it gives up: the whole search of
@@ -43,7 +44,7 @@ _CHROMATIC_VERTEX_BUDGET = 64
 _ALGORITHM1_TEST_BUDGET = 2 ** 24
 
 
-@dataclass(frozen=True)
+@record
 class PartitionSystem:
     """A partition of the vertices into independent dominating cells.
 
@@ -83,7 +84,7 @@ class PartitionSystem:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class Coloring:
     """A proper vertex coloring with colors 1..m; properness is enforced."""
 
@@ -116,7 +117,7 @@ class Coloring:
         return tuple(sorted(set(self.color_of.values())))
 
 
-@dataclass(frozen=True)
+@record
 class RowSelection:
     """Row indices into a state table, 1-based to match printed matrices."""
 
@@ -246,6 +247,9 @@ def paper_coloring(
     work budget there is a stop on the whole table too. Only ``None`` leaves
     the answer to the whole table, whose find then does not contain row 1.
     """
+    from . import states
+    from .states import TravisMatrix
+
     if n < 1:
         raise OhgError("the number of colors must be positive")
     order = states.CanonicalRows(h)
@@ -296,6 +300,8 @@ def color_to_state(coloring: Coloring, color: int) -> TwoValuedState:
             raise NotAStateError(
                 f"color {color} meets context {sorted(ctx)!r} {hits} times"
             )
+    from .states import TwoValuedState
+
     return TwoValuedState(h.vertices, members)
 
 
@@ -312,9 +318,8 @@ def exact_coloring(h: Hypergraph) -> tuple[int, Coloring]:
             f"exact chromatic search capped at {_CHROMATIC_VERTEX_BUDGET} "
             f"vertices, got {n}"
         )
-    g = core.two_section(h)
-    nbr = g.neighbor_masks
-    lower = max(len(c) for c in core.maximal_cliques(g))
+    nbr = h.neighbor_masks
+    lower = max(m.bit_count() for m in core._clique_masks(nbr))
     colors = [0] * n
     best: list[int] = []
     best_count = n + 1
@@ -347,7 +352,7 @@ def exact_coloring(h: Hypergraph) -> tuple[int, Coloring]:
                 return
 
     descend(0, 0)
-    mapping = {g.vertices[v]: best[v] for v in range(n)}
+    mapping = {h.vertices[v]: best[v] for v in range(n)}
     return best_count, Coloring(h, mapping)
 
 

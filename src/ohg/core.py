@@ -3,13 +3,13 @@
 Vertices are opaque string tokens. All heavy computation runs on dense
 integer indices in declaration order, with vertex sets packed into Python
 int bitmasks (bit ``i`` = vertex ``i``). :func:`_bits` lists the members of
-such a mask; the package walks masks through it only.
+such a mask; the package walks masks through it only. The package's value
+classes are frozen records made by :func:`record`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -29,6 +29,63 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _fields(r) -> tuple:
+    return tuple(getattr(r, f) for f in r.__match_args__)
+
+
+def _repr(r) -> str:
+    args = ", ".join(f"{f}={getattr(r, f)!r}" for f in r.__match_args__)
+    return f"{type(r).__qualname__}({args})"
+
+
+def _eq(r, other) -> bool:
+    if other.__class__ is not r.__class__:
+        return NotImplemented
+    return _fields(r) == _fields(other)
+
+
+def _hash(r) -> int:
+    return hash(_fields(r))
+
+
+def _refuse_set(r, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(r, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen record of its annotated fields.
+
+    The record gets an ``__init__`` taking the fields in order, by position
+    or keyword, with a class attribute as the field's default; it calls
+    ``self.__post_init__()`` when the class has one, looked up at each call.
+    Fields are listed in ``__match_args__``. Unless the class defines its
+    own, the record also gets a field-wise repr, and equality and a hash
+    over its fields. Assigning or deleting any attribute raises
+    :class:`AttributeError` (:func:`functools.cached_property` still
+    caches, through ``__dict__``).
+    """
+    fields = tuple(cls.__annotations__)
+    params = ", ".join(f"{f}=cls.{f}" if f in vars(cls) else f for f in fields)
+    body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    namespace = {"cls": cls, "_set": object.__setattr__}
+    exec(f"def __init__(self, {params}):\n{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__match_args__ = fields
+    methods = {"__repr__": _repr, "__eq__": _eq, "__hash__": _hash,
+               "__setattr__": _refuse_set, "__delattr__": _refuse_del}
+    for name, method in methods.items():
+        if name not in vars(cls):
+            setattr(cls, name, method)
+    return cls
+
+
 def _check_name(name: object) -> str:
     if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
         raise InvalidVertexNameError(
@@ -37,7 +94,7 @@ def _check_name(name: object) -> str:
     return name
 
 
-@dataclass(frozen=True)
+@record
 class Hypergraph:
     """An orthogonality hypergraph: named vertices plus a family of contexts.
 
@@ -76,7 +133,7 @@ class Hypergraph:
         return f"Hypergraph({len(self.vertices)} vertices, {len(self.contexts)} contexts)"
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """A plain graph: named vertices and undirected edges."""
 
@@ -112,7 +169,7 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
+@record
 class ShapeReport:
     """Structural summary of a hypergraph against the quantum-logic shape laws."""
 
@@ -179,14 +236,14 @@ def two_section(h: Hypergraph) -> Graph:
     return Graph(h.vertices, frozenset(edges))
 
 
-def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
-    """All inclusion-maximal cliques of ``g``, sorted for determinism.
+def _clique_masks(nbr: Sequence[int]) -> list[int]:
+    """The inclusion-maximal cliques of the graph with neighbour masks
+    ``nbr``, as vertex masks.
 
     Bron-Kerbosch with pivoting on bitmasks; instances here stay small
-    (the largest composed hypergraph has 378 vertices).
+    (the largest composed hypergraph has 378 vertices). The 2-section of a
+    hypergraph ``h`` is the graph of ``h.neighbor_masks``.
     """
-    nbr = g.neighbor_masks
-    n = len(g.vertices)
     out: list[int] = []
 
     def expand(clique: int, cand: int, excl: int) -> None:
@@ -203,9 +260,15 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
             expand(clique | low, cand & nbr[v], excl & nbr[v])
             cand &= ~low
             excl |= low
-    if n:
-        expand(0, (1 << n) - 1, 0)
-    cliques = [frozenset(g.vertices[v] for v in _bits(mask)) for mask in out]
+    if nbr:
+        expand(0, (1 << len(nbr)) - 1, 0)
+    return out
+
+
+def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
+    """All inclusion-maximal cliques of ``g``, sorted for determinism."""
+    cliques = [frozenset(g.vertices[v] for v in _bits(mask))
+               for mask in _clique_masks(g.neighbor_masks)]
     return tuple(sorted(cliques, key=lambda c: sorted(c)))
 
 
@@ -216,16 +279,16 @@ def shape(h: Hypergraph) -> ShapeReport:
     holds when no context is smaller than that number, i.e. every adjacency
     sits inside a full-size context.
     """
-    g = two_section(h)
-    cliques = maximal_cliques(g)
-    n = max(len(c) for c in cliques)
+    nbr = h.neighbor_masks
+    cliques = _clique_masks(nbr)
+    n = max(m.bit_count() for m in cliques)
     sizes = {len(ctx) for ctx in h.contexts}
     return ShapeReport(
         clique_number=n,
         uniform=sizes == {n},
-        conformal=set(cliques) == set(h.contexts),
+        conformal=set(cliques) == set(h.context_masks),
         completion_ok=min(sizes) >= n,
-        max_degree=max(m.bit_count() for m in g.neighbor_masks),
+        max_degree=max(m.bit_count() for m in nbr),
     )
 
 

@@ -19,12 +19,14 @@ the binding of the bug, 484 MB of text) with memory bounded by one block;
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .core import Hypergraph, build
 from .errors import ParseError
-from .geometry import VectorLabeling
-from .states import _WRITE_BLOCK, TravisMatrix, _row_digits
+
+if TYPE_CHECKING:
+    from .geometry import VectorLabeling
+    from .states import TravisMatrix
 
 
 def _content_lines(text: str) -> list[str]:
@@ -52,6 +54,8 @@ def write_ohg(h: Hypergraph) -> str:
 
 
 def parse_matrix(text: str) -> TravisMatrix:
+    from .states import TravisMatrix
+
     lines = _content_lines(text)
     if not lines or not lines[0].startswith("vertices:"):
         raise ParseError('matrix file must start with a "vertices:" header')
@@ -75,6 +79,8 @@ def parse_matrix(text: str) -> TravisMatrix:
 def _matrix_lines(rows: Sequence[int], k: int) -> str:
     """Rows of ``k`` columns as matrix-file lines: digits at the even byte
     positions, spaces between them and a newline last."""
+    from .states import _row_digits
+
     digits = _row_digits(rows, k).encode("ascii")
     out = bytearray(b" ") * (2 * len(digits))
     out[0::2] = digits
@@ -94,6 +100,8 @@ def write_matrix(t: TravisMatrix, start: int = 0, stop: Optional[int] = None) ->
     To write a large table without holding all of its text, use
     :func:`matrix_chunks`.
     """
+    from .states import _WRITE_BLOCK
+
     head = "vertices: " + " ".join(t.vertices) + "\n" if start == 0 else ""
     rows = t.rows[start:stop]
     return head + "".join(
@@ -105,11 +113,15 @@ def write_matrix(t: TravisMatrix, start: int = 0, stop: Optional[int] = None) ->
 def matrix_chunks(t: TravisMatrix) -> Iterator[str]:
     """The text of :func:`write_matrix` in consecutive chunks, header first,
     of at most a few thousand rows each (under 1 MB at 108 columns)."""
+    from .states import _WRITE_BLOCK
+
     for start in range(0, max(t.n_rows, 1), _WRITE_BLOCK):
         yield write_matrix(t, start, start + _WRITE_BLOCK)
 
 
 def parse_vectors(text: str) -> VectorLabeling:
+    from .geometry import VectorLabeling
+
     lines = _content_lines(text)
     if not lines:
         raise ParseError("vector file is empty")

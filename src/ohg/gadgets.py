@@ -13,13 +13,11 @@ hypergraph whose state table grows by :func:`predicted_bind_count`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import core
-from .core import Hypergraph
+from .core import Hypergraph, record
 from .errors import (
     AdjacentTerminalsError,
     NotATifsPairError,
@@ -27,7 +25,9 @@ from .errors import (
     RankMismatchError,
     UnknownFixtureError,
 )
-from .states import TravisMatrix, cotruth, gadget_scan
+
+if TYPE_CHECKING:
+    from .states import TravisMatrix
 
 FIXTURE_NAMES = (
     "k3",
@@ -54,7 +54,7 @@ _NOTES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Fixture:
     """A catalogued example: hypergraph and/or reference state table."""
 
@@ -64,7 +64,7 @@ class Fixture:
     notes: str
 
 
-@dataclass(frozen=True)
+@record
 class BindSpec:
     """A gadget with verified (head, tail) true-implies-false terminals.
 
@@ -78,6 +78,8 @@ class BindSpec:
     tail: str
 
     def __post_init__(self) -> None:
+        from .states import cotruth, gadget_scan
+
         for v in (self.head, self.tail):
             if v not in self.gadget.index:
                 raise UnknownFixtureError(f"terminal {v!r} is not a gadget vertex")
@@ -95,6 +97,8 @@ class BindSpec:
 
 
 def _read_fixture_file(filename: str) -> str:
+    from importlib import resources
+
     return (resources.files("ohg") / "fixtures" / filename).read_text()
 
 

@@ -10,9 +10,8 @@ per-vector scalings cannot change a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Hypergraph
+from .core import Hypergraph, record
 from .errors import DimensionMismatchError, MissingVertexError, OhgError
 
 DEFAULT_TOLERANCE = 1e-9
@@ -20,7 +19,7 @@ DEFAULT_TOLERANCE = 1e-9
 Violation = tuple[str, str, float]
 
 
-@dataclass(frozen=True)
+@record
 class VectorLabeling:
     """Real vectors assigned to vertex names; not required to be unit length
     (verification normalizes first)."""
@@ -29,7 +28,7 @@ class VectorLabeling:
     vectors: dict[str, tuple[float, ...]]
 
 
-@dataclass(frozen=True)
+@record
 class ForReport:
     """Violations of the three representation laws; empty means valid.
 

@@ -9,11 +9,10 @@ hypergraphs and otherwise reveals surplus structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import core
-from .core import Graph, Hypergraph
+from .core import Graph, Hypergraph, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
 from .states import CoTruth, TravisMatrix, cotruth
 
@@ -21,7 +20,7 @@ _EQUIV_COLUMN_CAP = 32
 _EQUIV_NODE_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record
 class ReconstructionResult:
     """Raw and completion-filtered reconstructions, with diffs to a source."""
 
@@ -32,7 +31,7 @@ class ReconstructionResult:
     missing_contexts: tuple[frozenset[str], ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Reconstructability verdict for a hypergraph.
 

@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .core import Hypergraph, _bits
+from .core import Hypergraph, _bits, record
 from .errors import (
     ColumnCountMismatchError,
     NotAGadgetPairError,
@@ -79,7 +78,7 @@ _WRITE_BLOCK = 4096
 ROW_BUDGET = 2 ** 23
 
 
-@dataclass(frozen=True)
+@record
 class TwoValuedState:
     """A single classical truth assignment over named vertices."""
 
@@ -97,7 +96,7 @@ class TwoValuedState:
         return all(len(ctx & self.true_set) == 1 for ctx in h.contexts)
 
 
-@dataclass(frozen=True)
+@record
 class TravisMatrix:
     """The 0/1 table of two-valued states: rows are states, columns vertices.
 
@@ -251,7 +250,7 @@ def _diagonal(cooc: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(row[i] for i, row in enumerate(cooc))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class CoTruth:
     """State count and pairwise co-truth counts, without the rows.
 
@@ -266,6 +265,10 @@ class CoTruth:
     vertices: tuple[str, ...]
     nts: int
     cooc: tuple[tuple[int, ...], ...]
+
+    # compared and hashed by identity, not by the whole matrix
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def n_rows(self) -> int:
@@ -283,7 +286,7 @@ class CoTruth:
         return f"CoTruth({self.nts} states x {self.n_cols} vertices)"
 
 
-@dataclass(frozen=True)
+@record
 class StateClassification:
     """Separability-style verdicts over a complete state table."""
 
@@ -294,7 +297,7 @@ class StateClassification:
     fail_witness: Optional[tuple[str, str, int]]
 
 
-@dataclass(frozen=True)
+@record
 class GadgetProfile:
     """State counts at a (head, tail) pair that is never jointly true."""
 

@@ -427,6 +427,13 @@ class TestCount:
                         "--format", "json")
         assert json.loads(out) == {"count": 6}
 
+    @pytest.mark.parametrize("flag", ["--na", "--nb", "--nn"])
+    def test_negative_count_is_a_usage_error(self, capsys, flag):
+        argv = {"--na": "3", "--nb": "3", "--nn": "8", flag: "-1"}
+        code, out, err = run(capsys, "count", *(x for kv in argv.items() for x in kv))
+        assert (code, out) == (2, "")
+        assert err == "error: state counts must be nonnegative\n"
+
 
 class TestVerifyFor:
     def test_valid(self, capsys, tmp_path):

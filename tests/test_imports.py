@@ -1,8 +1,10 @@
-"""The package never loads numpy: not on import, not in any command.
+"""The package never loads numpy, and each command loads only what it runs.
 
 The tests use numpy as an oracle, so each case runs in a fresh interpreter.
-The child runs ``ohg.cli.main`` on one command and reports on stderr
-whether numpy was loaded before and after it.
+The child runs ``ohg.cli.main`` on one command and reports on stderr which
+of the watched modules were loaded before and after it: numpy, never;
+``dataclasses``, never; ``json``, only for JSON output; and the colouring,
+reconstruction and geometry modules only for the commands that call them.
 """
 
 import subprocess
@@ -11,18 +13,23 @@ from importlib import resources
 
 import pytest
 
-from ohg import gadgets
+import ohg
+from ohg import gadgets, reconstruction
 from ohg.formats import write_ohg
 
 from conftest import child_options
 
-_PROBE = """
+_WATCHED = ("numpy", "dataclasses", "json", "ohg.coloring", "ohg.reconstruction",
+            "ohg.geometry")
+_PROBE = f"""
 import sys
 import ohg.cli
-before = "numpy" in sys.modules
+def loaded():
+    return ",".join(m for m in {_WATCHED!r} if m in sys.modules) or "-"
+before = loaded()
 code = ohg.cli.main(sys.argv[1:])
 sys.stdout.flush()
-print("numpy", before, "numpy" in sys.modules, code, file=sys.stderr)
+print("loaded", before, loaded(), code, file=sys.stderr)
 """
 
 
@@ -41,8 +48,8 @@ def paths(tmp_path_factory):
     return out
 
 
-def probe(*args: str) -> tuple[bool, bool, int]:
-    """Whether numpy was loaded after ``import ohg.cli`` and after running
+def probe(*args: str) -> tuple[set[str], set[str], int]:
+    """The watched modules loaded after ``import ohg.cli`` and after running
     ``ohg ARGS``, and the exit code, from a fresh interpreter."""
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, *args],
@@ -50,8 +57,8 @@ def probe(*args: str) -> tuple[bool, bool, int]:
     )
     assert result.returncode == 0, result.stderr
     word, before, after, code = result.stderr.splitlines()[-1].split()
-    assert word == "numpy"
-    return before == "True", after == "True", int(code)
+    assert word == "loaded"
+    return set(before.split(",")) - {"-"}, set(after.split(",")) - {"-"}, int(code)
 
 
 def test_import_ohg_leaves_numpy_unloaded():
@@ -85,4 +92,71 @@ def test_import_ohg_leaves_numpy_unloaded():
 def test_numpy_free_commands(paths, args):
     before, after, code = probe(*(a.format(**paths) for a in args))
     assert code == 0
-    assert not before and not after
+    assert "numpy" not in before | after
+
+
+def test_import_ohg_loads_no_submodule():
+    # public names and submodules then load on first access
+    child = ("import sys, ohg; print([m for m in sys.modules if m.startswith('ohg.')]); "
+             "print(ohg.states.__name__, ohg.count_states.__module__)")
+    result = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True, text=True, timeout=60, **child_options(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nohg.states ohg.states\n"
+
+
+PUBLIC = """
+BindSpec CoTruth Coloring FIXTURE_NAMES Fixture ForReport FourCycle GadgetProfile
+GadgetScan Graph Hypergraph OhgError PartitionSystem ReconstructionResult RowSelection
+ShapeReport StateClassification TravisMatrix TwoValuedState VectorLabeling Verdict
+adjacency_from_states algorithm1 bind brooks_bound build build_fig4 classify
+color_to_state coloring_from_partition cotruth count_states enumerate_states
+evaluate_reconstruction exact_chromatic exact_coloring fixture four_cycle_lint
+gadget_profile gadget_scan is_isomorphic layer maximal_cliques partition_from_coloring
+partition_from_rows predicted_bind_count reconstruct relaxed_coloring shape
+travis_equivalent two_section verdict verify_for verify_rows
+""".split()
+
+
+def test_star_import_binds_every_public_name():
+    assert ohg.__all__ == PUBLIC
+    namespace: dict = {}
+    exec("from ohg import *", namespace)
+    assert set(ohg.__all__) <= set(namespace)
+    assert namespace["evaluate_reconstruction"] is reconstruction.evaluate
+    assert namespace["FIXTURE_NAMES"] is gadgets.FIXTURE_NAMES
+    assert set(ohg.__all__) <= set(dir(ohg))
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(ohg, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ohg.no_such_name
+
+
+@pytest.mark.parametrize("args, loads", [
+    (("states", "{bug}", "--count-only"), set()),
+    (("states", "{bug}", "--count-only", "--format", "json"), {"json"}),
+    (("states", "{bug}"), set()),
+    (("states", "{bug}", "--out", "{matrix}"), set()),
+    (("states", "{bug}", "--format", "json"), {"json"}),
+    (("count", "--na", "3", "--nb", "3", "--nn", "8"), set()),
+    (("count", "--na", "3", "--nb", "3", "--nn", "8", "--format", "json"), {"json"}),
+    (("gadget", "bug"), set()),
+    (("gadget", "bug", "--travis"), set()),
+    (("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"), set()),
+    (("export", "{bug}", "--format", "dot"), set()),
+    (("export", "{bug}", "--format", "json"), {"json"}),
+    (("classify", "{bug}"), {"ohg.coloring"}),
+    (("reconstruct", "{bug}"), {"ohg.reconstruction"}),
+    (("color", "{bug}", "--n", "3"), {"ohg.coloring"}),
+    (("chroma", "{bug}", "--format", "json"), {"ohg.coloring", "json"}),
+    (("verify-for", "{pentagon}", "{pentagon_vec}"), {"ohg.geometry"}),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(sorted(v)) or "none")
+def test_commands_load_only_what_they_run(paths, args, loads):
+    before, after, code = probe(*(a.format(**paths) for a in args))
+    assert code == 0
+    assert before == set()
+    assert after == loads
