@@ -21,8 +21,9 @@ _EXPORTS = {
     "reconstruction": ("ReconstructionResult Verdict adjacency_from_states "
                        "evaluate_reconstruction reconstruct travis_equivalent verdict"),
     "coloring": ("Coloring PartitionSystem RowSelection algorithm1 brooks_bound "
-                 "color_to_state coloring_from_partition exact_chromatic exact_coloring "
-                 "partition_from_coloring partition_from_rows relaxed_coloring verify_rows"),
+                 "color_to_state coloring_from_partition exact_chromatic "
+                 "exact_coloring partition_from_coloring partition_from_rows "
+                 "relaxed_coloring verify_rows"),
     "gadgets": ("BindSpec Fixture FIXTURE_NAMES bind build_fig4 fixture layer "
                 "predicted_bind_count"),
     "geometry": "ForReport VectorLabeling verify_for",

@@ -248,7 +248,6 @@ def paper_coloring(
     the answer to the whole table, whose find then does not contain row 1.
     """
     from . import states
-    from .states import TravisMatrix
 
     if n < 1:
         raise OhgError("the number of colors must be positive")
@@ -257,11 +256,11 @@ def paper_coloring(
     if not order.nts or any(len(c) != n for c in h.contexts):
         return None
     first = order.first()
-    rest = TravisMatrix(h.vertices, tuple(order.disjoint(first)))
+    rest = states.TravisMatrix(h.vertices, tuple(order.disjoint(first)))
     found = algorithm1(rest, n - 1)
     if found is not None:
         rows = (first, *(rest.rows[r - 1] for r in found.rows))
-        cells = tuple(map(TravisMatrix(h.vertices, rows).row_true_set, range(n)))
+        cells = tuple(map(states.TravisMatrix(h.vertices, rows).row_true_set, range(n)))
         return RowSelection(tuple(map(order.rank, rows))), PartitionSystem(h, cells)
     t = states.enumerate_states(h)
     selection = algorithm1(t, n)
