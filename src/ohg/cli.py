@@ -256,19 +256,23 @@ def _cmd_chroma(args) -> int:
 
 def _cmd_gadget(args) -> int:
     from . import gadgets
-    from .formats import matrix_chunks, write_ohg
 
-    fx = gadgets.fixture(args.name)
     if args.travis:
-        if fx.travis is None:
+        from .formats import matrix_chunks
+
+        travis = gadgets.fixture(args.name).travis
+        if travis is None:
             raise OhgError(f"fixture {args.name!r} has no reference state table")
-        sys.stdout.writelines(matrix_chunks(fx.travis))
+        sys.stdout.writelines(matrix_chunks(travis))
         return 0
-    if fx.hypergraph is None:
+    from .formats import write_ohg
+
+    h = gadgets.fixture_hypergraph(args.name)
+    if h is None:
         raise OhgError(
             f"fixture {args.name!r} ships as a state table only; use --travis"
         )
-    sys.stdout.write(write_ohg(fx.hypergraph))
+    sys.stdout.write(write_ohg(h))
     return 0
 
 

@@ -265,6 +265,24 @@ def _clique_masks(nbr: Sequence[int]) -> list[int]:
     return out
 
 
+def _component_masks(nbr: Sequence[int]) -> list[int]:
+    """The connected components of the graph with neighbour masks ``nbr``,
+    as vertex masks, in the order of their lowest vertex."""
+    out = []
+    rest = (1 << len(nbr)) - 1
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= nbr[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        out.append(seen)
+        rest &= ~seen
+    return out
+
+
 def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     """All inclusion-maximal cliques of ``g``, sorted for determinism."""
     cliques = [frozenset(g.vertices[v] for v in _bits(mask))

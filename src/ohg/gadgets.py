@@ -103,19 +103,28 @@ def _read_fixture_file(filename: str) -> str:
 
 
 @cache
-def fixture(name: str) -> Fixture:
-    """Look up a catalogued fixture by name (see :data:`FIXTURE_NAMES`)."""
+def fixture_hypergraph(name: str) -> Optional[Hypergraph]:
+    """The hypergraph of a catalogued fixture, read without its reference
+    state table; ``None`` for a fixture that ships as a table only."""
     if name not in FIXTURE_NAMES:
         raise UnknownFixtureError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    from .formats import parse_matrix, parse_ohg
+    if name == "ghz":
+        return None
+    from .formats import parse_ohg
 
-    hypergraph = None
+    return parse_ohg(_read_fixture_file(f"{name}.ohg"))
+
+
+@cache
+def fixture(name: str) -> Fixture:
+    """Look up a catalogued fixture by name (see :data:`FIXTURE_NAMES`)."""
+    hypergraph = fixture_hypergraph(name)
     travis = None
-    if name != "ghz":
-        hypergraph = parse_ohg(_read_fixture_file(f"{name}.ohg"))
     if name in ("triangle", "pentagon", "bug", "g32", "underlying", "ghz"):
+        from .formats import parse_matrix
+
         travis = parse_matrix(_read_fixture_file(f"{name}.mat"))
     return Fixture(name, hypergraph, travis, _NOTES[name])
 

@@ -141,19 +141,18 @@ def brute_force_two_section_edges(h: core.Hypergraph) -> set[frozenset[str]]:
 
 def brute_force_chromatic(h: core.Hypergraph) -> int:
     """Chromatic number of the 2-section: the clique number found by trying
-    every vertex subset, then a plain backtracking k-colouring for k = that
-    number, one more, and so on."""
+    vertex subsets of growing size, then a plain backtracking k-colouring
+    for k = that number, one more, and so on."""
     n = len(h.vertices)
-    assert n <= 12, "brute force chromatic oracle capped at 12 vertices"
+    assert n <= 14, "brute force chromatic oracle capped at 14 vertices"
     edges = brute_force_two_section_edges(h)
     adjacent = [[frozenset((u, v)) in edges for v in h.vertices]
                 for u in h.vertices]
-    omega = max(
-        len(subset)
-        for r in range(1, n + 1)
-        for subset in itertools.combinations(range(n), r)
-        if all(adjacent[u][v] for u, v in itertools.combinations(subset, 2))
-    )
+    # a subset of a clique is a clique, so stop at the first size with none
+    omega = 1
+    while any(all(adjacent[u][v] for u, v in itertools.combinations(subset, 2))
+              for subset in itertools.combinations(range(n), omega + 1)):
+        omega += 1
 
     def colourable(k: int) -> bool:
         colour = [0] * n

@@ -359,6 +359,22 @@ class TestChroma:
         assert json.loads(out)["brooksBound"] == 4
 
 
+    def test_components(self, capsys, bind_g32_bug_file):
+        # bind(g32) needs 4 colours and the bug beside it 3
+        code, out, _ = run(capsys, "chroma", bind_g32_bug_file)
+        assert code == 0 and out == "4\n"
+        code, out, _ = run(capsys, "classify", bind_g32_bug_file)
+        assert code == 0 and out.splitlines()[-1] == "semi-perfect: no"
+
+    def test_bind_bug(self, capsys, tmp_path, bind_bug):
+        path = tmp_path / "bind_bug.ohg"
+        path.write_text(write_ohg(bind_bug))
+        code, out, _ = run(capsys, "chroma", str(path))
+        assert code == 0 and out == "3\n"
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0 and out.splitlines()[-1] == "semi-perfect: yes"
+
+
 class TestGadget:
     @pytest.mark.parametrize("name", [n for n in gadgets.FIXTURE_NAMES
                                       if n != "ghz"])

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 import time
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohg import coloring, core, gadgets, states
+from ohg import cli, coloring, core, gadgets, states
 from ohg.coloring import (
     Coloring,
     PartitionSystem,
@@ -395,9 +399,52 @@ class TestChromatic:
             h = gadgets.fixture(name).hypergraph
             assert exact_chromatic(h) >= core.shape(h).clique_number
 
-    def test_size_limit(self, bind_bug):
-        with pytest.raises(SizeLimitError):
+    def test_bind_bug(self, bind_bug):
+        start = time.perf_counter()
+        chi, c = exact_coloring(bind_bug)
+        assert time.perf_counter() - start < 1
+        assert chi == 3 == exact_chromatic(bind_bug)
+        # every context has 3 vertices, so each colour class is a state
+        for color in c.colors():
+            assert color_to_state(c, color).satisfies(bind_bug)
+        partition_from_coloring(bind_bug, c)
+
+    @pytest.mark.parametrize("gadget, head, tail, chi", [
+        ("g32", "v1", "v13", 4),
+        ("fig4", "a1", "a11", 3),
+    ])
+    def test_bindings(self, gadget, head, tail, chi):
+        spec = gadgets.BindSpec(gadgets.fixture(gadget).hypergraph, head, tail)
+        h = gadgets.bind(spec)
+        got, c = exact_coloring(h)
+        assert got == chi == c.num_colors
+
+    # context-and-member scrambles stall the first attempt on some inputs;
+    # the seeded restarts must still answer within the budget
+    @pytest.mark.parametrize("k", range(4))
+    def test_bind_fig4_scrambles(self, bind_fig4, k):
+        idx = bind_fig4.index
+        contexts = [sorted(c, key=idx.__getitem__) for c in bind_fig4.contexts]
+        rng = random.Random(f"scramble:{k}")
+        rng.shuffle(contexts)
+        for ctx in contexts:
+            rng.shuffle(ctx)
+        start = time.perf_counter()
+        assert exact_chromatic(core.build(contexts)) == 3
+        assert time.perf_counter() - start < 5
+
+    def test_size_limit(self, bind_bug, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(coloring, "_NODE_BUDGET", 10)
+        with pytest.raises(SizeLimitError, match="after 10 nodes"):
             exact_chromatic(bind_bug)
+        path = tmp_path / "bind_bug.ohg"
+        path.write_text(write_ohg(bind_bug))
+        assert cli.main(["chroma", str(path)]) == 2
+        assert "error: exact chromatic search stopped" in capsys.readouterr().err
+        assert cli.main(["classify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "nTS: 2239488"
+        assert lines[-1] == "semi-perfect: unknown (size limit)"
 
     def test_k4(self):
         assert exact_chromatic(core.build([("a", "b", "c", "d")])) == 4
@@ -437,17 +484,43 @@ class TestChromatic:
         assert chi == int(max(colors))
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 4))
-    def test_random_pastings_against_brute_force(self, seed, size):
-        h = random_pasting(random.Random(seed), max_contexts=10,
-                           max_vertices=12, size=size)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 5),
+           union=st.booleans())
+    def test_random_pastings_against_brute_force(self, seed, size, union):
+        rng = random.Random(seed)
+        if union:
+            # two components, coloured apart
+            a = random_pasting(rng, max_contexts=6, max_vertices=7, size=size)
+            b = random_pasting(rng, max_contexts=6, max_vertices=7,
+                               size=rng.randint(2, 5))
+            h = parse_ohg(disjoint_union(write_ohg(a), write_ohg(b)))
+        else:
+            h = random_pasting(rng, max_contexts=10, max_vertices=14, size=size)
         chi, c = exact_coloring(h)
         assert chi == brute_force_chromatic(h)
-        assert chi >= core.shape(h).clique_number
+        omega = core.shape(h).clique_number
+        assert chi >= omega
         assert c.num_colors == chi
         for edge in brute_force_two_section_edges(h):
             u, v = edge
             assert c.color_of[u] != c.color_of[v]
+        # the order of contexts and of their members does not change chi
+        contexts = [sorted(ctx) for ctx in h.contexts]
+        rng.shuffle(contexts)
+        for ctx in contexts:
+            rng.shuffle(ctx)
+        assert exact_chromatic(core.build(contexts)) == chi
+        if chi == omega and all(len(ctx) == omega for ctx in h.contexts):
+            for color in c.colors():
+                assert color_to_state(c, color).satisfies(h)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "h.ohg")
+            with open(path, "w") as f:
+                f.write(write_ohg(h))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["classify", path, "--format", "json"]) == 0
+        assert json.loads(out.getvalue())["verdicts"]["semiPerfect"] == (chi == omega)
 
 
 class TestBrooks:

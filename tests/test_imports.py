@@ -3,8 +3,10 @@
 The tests use numpy as an oracle, so each case runs in a fresh interpreter.
 The child runs ``ohg.cli.main`` on one command and reports on stderr which
 of the watched modules were loaded before and after it: numpy, never;
-``dataclasses``, never; ``json``, only for JSON output; and the colouring,
-reconstruction and geometry modules only for the commands that call them.
+``dataclasses``, never; ``json``, only for JSON output; the colouring,
+reconstruction and geometry modules only for the commands that call them;
+and the counting engine, ``ohg.states``, only where states are counted,
+listed or parsed.
 """
 
 import subprocess
@@ -21,11 +23,11 @@ from conftest import child_options
 
 _WATCHED = ("numpy", "dataclasses", "json", "ohg.coloring", "ohg.reconstruction",
             "ohg.geometry")
-_PROBE = f"""
+_PROBE = """
 import sys
 import ohg.cli
 def loaded():
-    return ",".join(m for m in {_WATCHED!r} if m in sys.modules) or "-"
+    return ",".join(m for m in {watched!r} if m in sys.modules) or "-"
 before = loaded()
 code = ohg.cli.main(sys.argv[1:])
 sys.stdout.flush()
@@ -48,11 +50,12 @@ def paths(tmp_path_factory):
     return out
 
 
-def probe(*args: str) -> tuple[set[str], set[str], int]:
-    """The watched modules loaded after ``import ohg.cli`` and after running
-    ``ohg ARGS``, and the exit code, from a fresh interpreter."""
+def probe(*args: str, watched: tuple[str, ...] = _WATCHED
+          ) -> tuple[set[str], set[str], int]:
+    """The ``watched`` modules loaded after ``import ohg.cli`` and after
+    running ``ohg ARGS``, and the exit code, from a fresh interpreter."""
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, *args],
+        [sys.executable, "-c", _PROBE.format(watched=watched), *args],
         capture_output=True, text=True, timeout=60, **child_options(),
     )
     assert result.returncode == 0, result.stderr
@@ -160,3 +163,25 @@ def test_commands_load_only_what_they_run(paths, args, loads):
     assert code == 0
     assert before == set()
     assert after == loads
+
+
+# The counting engine, ``ohg.states``, loads only where states are counted,
+# listed or parsed: not to print a fixture's hypergraph, nor to colour exactly.
+@pytest.mark.parametrize("args, loads", [
+    (("gadget", "bug"), False),
+    (("gadget", "k3"), False),
+    (("gadget", "bug", "--travis"), True),
+    (("chroma", "{bug}"), False),
+    (("chroma", "{bug}", "--brooks"), False),
+    (("color", "{bug}", "--n", "3", "--algorithm", "exact"), False),
+    (("color", "{bug}", "--n", "3", "--algorithm", "paper"), True),
+    (("classify", "{bug}"), True),
+    (("export", "{bug}", "--format", "dot"), False),
+    (("states", "{bug}", "--count-only"), True),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_commands_load_the_engine_only_to_use_it(paths, args, loads):
+    before, after, code = probe(*(a.format(**paths) for a in args),
+                                watched=("ohg.states",))
+    assert code == 0
+    assert before == set()
+    assert after == ({"ohg.states"} if loads else set())
