@@ -15,8 +15,9 @@ _EXPORTS = {
     "core": ("FourCycle Graph Hypergraph ShapeReport build four_cycle_lint "
              "is_isomorphic maximal_cliques shape two_section"),
     "errors": "OhgError",
+    "engine": "count_states",
     "states": ("CoTruth GadgetProfile GadgetScan StateClassification TravisMatrix "
-               "TwoValuedState classify cotruth count_states enumerate_states "
+               "TwoValuedState classify cotruth enumerate_states "
                "gadget_profile gadget_scan"),
     "reconstruction": ("ReconstructionResult Verdict adjacency_from_states "
                        "evaluate_reconstruction reconstruct travis_equivalent verdict"),

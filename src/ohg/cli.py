@@ -10,7 +10,10 @@ the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
 
 Each subcommand imports the package modules it calls, and :mod:`json` only
-when it prints JSON, so that a command loads only the code it runs.
+when it prints JSON, so that a command loads only the code it runs. For the
+same reason the parser gets the arguments of the one subcommand named first
+on the command line, and of all of them only for ``--help``, a missing or an
+unknown subcommand; its help, usage lines and errors are the same either way.
 """
 
 from __future__ import annotations
@@ -94,21 +97,26 @@ def _dot_structure(h: core.Hypergraph, fills: Optional[dict[str, int]] = None) -
 
 
 def _cmd_states(args) -> int:
-    from . import states
-    from .formats import matrix_chunks
-
+    if args.limit is not None and args.limit < 0:
+        raise OhgError(f"the row limit must not be negative, got --limit {args.limit}")
     h = _load_hypergraph(args.file)
     if args.count_only:
+        # the engine alone: the count needs none of the table code
+        from . import engine
+
         progress = None
         if args.progress:
             def progress(total: int) -> None:
                 print(f"states so far: {total}", file=sys.stderr)
-        n = states.count_states(h, progress=progress)
+        n = engine.count_states(h, progress=progress)
         if args.format == "json":
             _emit_json({"vertices": list(h.vertices), "nTS": n})
         else:
             print(n)
         return 0
+    from . import states
+    from .formats import matrix_chunks
+
     t = states.enumerate_states(h, row_limit=args.limit)
     if args.out:
         # opened only now, so that a refused table leaves no file behind
@@ -356,95 +364,128 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from .gadgets import FIXTURE_NAMES
+# Each subcommand with its one-line help, in the order ``ohg --help`` lists them
+_COMMANDS = {
+    "states": "enumerate or count all two-valued states",
+    "classify": "unital/separable/perfectly-separable verdicts",
+    "reconstruct": "rebuild the hypergraph from its states",
+    "color": "search for a proper coloring",
+    "chroma": "chromatic number or Brooks bound",
+    "gadget": "emit a catalogued fixture",
+    "compose": "layer or bind a gadget",
+    "count": "predicted state count of a binding",
+    "verify-for": "check a vector labeling",
+    "export": "emit the hypergraph as JSON or DOT",
+}
 
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built; otherwise (``--help``, no arguments, an unknown name) all of
+    them are. Either way the usage line and every message are the same.
+    """
     parser = argparse.ArgumentParser(
         prog="ohg",
         description="Analyze orthogonality hypergraphs via their two-valued states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    # The usage line lists the subcommands that were built; with one built,
+    # the metavar lists them all instead. It stays unset otherwise, because
+    # it would also replace "command" in the errors on a missing or unknown
+    # subcommand, which only the full parser reports.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("states", help="enumerate or count all two-valued states")
-    p.add_argument("file")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out", metavar="MATRIXFILE")
-    p.add_argument("--limit", type=int, default=None,
-                   help="abort past this many rows (replaces the row budget)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--progress", action="store_true",
-                   help="stream running counts to stderr")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_states)
+    def add(name: str) -> Optional[argparse.ArgumentParser]:
+        if only in (None, name):
+            return sub.add_parser(name, help=_COMMANDS[name])
+        return None
 
-    p = sub.add_parser("classify", help="unital/separable/perfectly-separable verdicts")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_classify)
+    if p := add("states"):
+        p.add_argument("file")
+        p.add_argument("--count-only", action="store_true")
+        p.add_argument("--out", metavar="MATRIXFILE")
+        p.add_argument("--limit", type=int, default=None,
+                       help="abort past this many rows (replaces the row budget)")
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--progress", action="store_true",
+                       help="stream running counts to stderr")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_states)
 
-    p = sub.add_parser("reconstruct", help="rebuild the hypergraph from its states")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, default=None, help="clique number override")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_reconstruct)
+    if p := add("classify"):
+        p.add_argument("file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("color", help="search for a proper coloring")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--algorithm", choices=("paper", "relaxed", "exact"),
-                   default="paper")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.set_defaults(func=_cmd_color)
+    if p := add("reconstruct"):
+        p.add_argument("file")
+        p.add_argument("--n", type=int, default=None, help="clique number override")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("chroma", help="chromatic number or Brooks bound")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--brooks", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_chroma)
+    if p := add("color"):
+        p.add_argument("file")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--algorithm", choices=("paper", "relaxed", "exact"),
+                       default="paper")
+        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("gadget", help="emit a catalogued fixture")
-    p.add_argument("name", choices=FIXTURE_NAMES)
-    p.add_argument("--travis", action="store_true",
-                   help="emit the reference state table instead")
-    p.set_defaults(func=_cmd_gadget)
+    if p := add("chroma"):
+        p.add_argument("file")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--exact", action="store_true", default=True)
+        group.add_argument("--brooks", action="store_true")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_chroma)
 
-    p = sub.add_parser("compose", help="layer or bind a gadget")
-    p.add_argument("kind", choices=("layer", "bind"))
-    p.add_argument("file")
-    p.add_argument("--head", required=True)
-    p.add_argument("--tail", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_compose)
+    if p := add("gadget"):
+        from .gadgets import FIXTURE_NAMES
 
-    p = sub.add_parser("count", help="predicted state count of a binding")
-    p.add_argument("--na", type=int, required=True)
-    p.add_argument("--nb", type=int, required=True)
-    p.add_argument("--nn", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_count)
+        p.add_argument("name", choices=FIXTURE_NAMES)
+        p.add_argument("--travis", action="store_true",
+                       help="emit the reference state table instead")
+        p.set_defaults(func=_cmd_gadget)
 
-    p = sub.add_parser("verify-for", help="check a vector labeling")
-    p.add_argument("file")
-    p.add_argument("vectors")
-    # None stands for geometry.DEFAULT_TOLERANCE, so that building the
-    # parser does not load geometry
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_verify_for)
+    if p := add("compose"):
+        p.add_argument("kind", choices=("layer", "bind"))
+        p.add_argument("file")
+        p.add_argument("--head", required=True)
+        p.add_argument("--tail", required=True)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("export", help="emit the hypergraph as JSON or DOT")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("json", "dot"), required=True)
-    p.set_defaults(func=_cmd_export)
+    if p := add("count"):
+        p.add_argument("--na", type=int, required=True)
+        p.add_argument("--nb", type=int, required=True)
+        p.add_argument("--nn", type=int, required=True)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_count)
+
+    if p := add("verify-for"):
+        p.add_argument("file")
+        p.add_argument("vectors")
+        # None stands for geometry.DEFAULT_TOLERANCE, so that building the
+        # parser does not load geometry
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_verify_for)
+
+    if p := add("export"):
+        p.add_argument("file")
+        p.add_argument("--format", choices=("json", "dot"), required=True)
+        p.set_defaults(func=_cmd_export)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ohg import gadgets, states
-from ohg.cli import main
+from ohg import engine, gadgets, states
+from ohg.cli import _COMMANDS, _build_parser, main
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
 from conftest import child_options, disjoint_union, ohg_argv, run_ohg
@@ -117,6 +117,38 @@ class TestStates:
         code, _, err = run(capsys, "states", bug_file, "--limit", "5")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--count-only",)])
+    def test_negative_limit_is_a_usage_error(self, capsys, bug_file, monkeypatch,
+                                             extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted despite a negative limit")
+        monkeypatch.setattr(engine, "count_states", refuse)
+        monkeypatch.setattr(states, "enumerate_states", refuse)
+        code, out, err = run(capsys, "states", bug_file, "--limit", "-1", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: the row limit must not be negative, got --limit -1\n"
+
+    def test_zero_limit_admits_no_states(self, capsys, tmp_path):
+        # a Kochen-Specker set has an empty table, which a limit of 0 admits
+        path = tmp_path / "contradictory.ohg"
+        path.write_text("a b\nb c\na c\n")
+        code, out, _ = run(capsys, "states", str(path), "--limit", "0")
+        assert code == 0 and out == "vertices: a b c\n"
+
+    def test_count_looks_up_the_engine_when_it_runs(self, capsys, bug_file,
+                                                    monkeypatch):
+        # the benchmark's tracer swaps engine.count_states after the import
+        count_states = engine.count_states
+        seen = []
+
+        def traced(h, **kwargs):
+            seen.append(len(h.vertices))
+            return count_states(h, **kwargs)
+        monkeypatch.setattr(engine, "count_states", traced)
+        code, out, _ = run(capsys, "states", bug_file, "--count-only")
+        assert code == 0 and out == "14\n"
+        assert seen == [13]
 
     def test_progress_stream(self, capsys, bug_file):
         code, out, err = run(capsys, "states", bug_file, "--count-only",
@@ -537,3 +569,79 @@ def test_console_script_installed():
     result = run_ohg("count", "--na", "1", "--nb", "1", "--nn", "1")
     assert result.returncode == 0
     assert result.stdout == "6\n"
+
+
+def parse(parser, argv, capsys):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``, for an
+    ``argv`` on which it exits: a ``--help`` or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def built(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    return parser._subparsers._group_actions[0].choices
+
+
+# One usage error per subcommand, each found while parsing; the last one is
+# reported by the top-level parser, with its usage line.
+USAGE_ERRORS = [
+    ("states",),
+    ("classify",),
+    ("reconstruct", "f.ohg", "--n", "x"),
+    ("color", "f.ohg"),
+    ("chroma", "f.ohg", "--exact", "--brooks"),
+    ("gadget", "nonesuch"),
+    ("compose", "layer", "f.ohg", "--head", "a"),
+    ("count", "--na", "1", "--nb", "1"),
+    ("verify-for", "f.ohg"),
+    ("export", "f.ohg", "--format", "xml"),
+    ("states", "f.ohg", "extra"),
+]
+
+
+class TestParser:
+    """The parser built for the one subcommand named answers as the parser
+    of every subcommand does, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        # argparse wraps its text at COLUMNS; child processes inherit it
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_builds_only_the_named_subcommand(self, name):
+        assert list(built(_build_parser([name, "--help"]))) == [name]
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_help(self, capsys, name):
+        argv = [name, "--help"]
+        full = parse(_build_parser([]), argv, capsys)
+        assert full[0] == 0 and full[1].startswith(f"usage: ohg {name} ")
+        assert parse(_build_parser(argv), argv, capsys) == full
+
+    def test_usage_errors_cover_every_subcommand(self):
+        assert {argv[0] for argv in USAGE_ERRORS} == set(_COMMANDS)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error(self, capsys, argv):
+        full = parse(_build_parser([]), list(argv), capsys)
+        assert full[0] == 2 and full[1] == "" and "error:" in full[2]
+        assert parse(_build_parser(list(argv)), list(argv), capsys) == full
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"]],
+                             ids=lambda a: " ".join(a) or "bare")
+    def test_top_level_lists_every_subcommand(self, capsys, argv):
+        parser = _build_parser(argv)
+        assert list(built(parser)) == list(_COMMANDS)
+        code, out, err = parse(parser, argv, capsys)
+        assert code == (0 if argv == ["--help"] else 2)
+        assert "{" + ",".join(_COMMANDS) + "}" in out + err
+
+    def test_console_script(self, capsys):
+        # run as a program, main() reads its arguments from sys.argv
+        result = run_ohg("color", "f.ohg")
+        full = parse(_build_parser([]), ["color", "f.ohg"], capsys)
+        assert (result.returncode, result.stdout, result.stderr) == full

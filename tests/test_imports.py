@@ -5,8 +5,9 @@ The child runs ``ohg.cli.main`` on one command and reports on stderr which
 of the watched modules were loaded before and after it: numpy, never;
 ``dataclasses``, never; ``json``, only for JSON output; the colouring,
 reconstruction and geometry modules only for the commands that call them;
-and the counting engine, ``ohg.states``, only where states are counted,
-listed or parsed.
+the counting engine, ``ohg.engine``, only where states are counted, listed
+or parsed; the table code, ``ohg.states``, not for a bare count; and
+``ohg.gadgets`` only for the commands that build or name gadgets.
 """
 
 import subprocess
@@ -16,7 +17,7 @@ from importlib import resources
 import pytest
 
 import ohg
-from ohg import gadgets, reconstruction
+from ohg import engine, gadgets, reconstruction, states
 from ohg.formats import write_ohg
 
 from conftest import child_options
@@ -107,7 +108,13 @@ def test_import_ohg_loads_no_submodule():
         capture_output=True, text=True, timeout=60, **child_options(),
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\nohg.states ohg.states\n"
+    assert result.stdout == "[]\nohg.states ohg.engine\n"
+
+
+def test_count_states_is_one_function():
+    # the benchmark's tracer swaps a function for a wrapper by identity in
+    # every loaded module, so each name must hold the same object
+    assert states.count_states is engine.count_states is ohg.count_states
 
 
 PUBLIC = """
@@ -165,7 +172,7 @@ def test_commands_load_only_what_they_run(paths, args, loads):
     assert after == loads
 
 
-# The counting engine, ``ohg.states``, loads only where states are counted,
+# The counting engine, ``ohg.engine``, loads only where states are counted,
 # listed or parsed: not to print a fixture's hypergraph, nor to colour exactly.
 @pytest.mark.parametrize("args, loads", [
     (("gadget", "bug"), False),
@@ -181,7 +188,36 @@ def test_commands_load_only_what_they_run(paths, args, loads):
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_commands_load_the_engine_only_to_use_it(paths, args, loads):
     before, after, code = probe(*(a.format(**paths) for a in args),
-                                watched=("ohg.states",))
+                                watched=("ohg.engine",))
     assert code == 0
     assert before == set()
-    assert after == ({"ohg.states"} if loads else set())
+    assert after == ({"ohg.engine"} if loads else set())
+
+
+# A bare count loads the engine without the table code, and only the commands
+# that build or name gadgets load ``ohg.gadgets``.
+@pytest.mark.parametrize("args, loads", [
+    (("states", "{bug}", "--count-only"), {"ohg.engine"}),
+    (("states", "{bug}", "--count-only", "--format", "json"), {"ohg.engine"}),
+    (("states", "{bug}"), {"ohg.engine", "ohg.states"}),
+    (("states", "{bug}", "--out", "{matrix}"), {"ohg.engine", "ohg.states"}),
+    (("states", "{bug}", "--format", "json"), {"ohg.engine", "ohg.states"}),
+    (("classify", "{bug}"), {"ohg.engine", "ohg.states"}),
+    (("reconstruct", "{bug}"), {"ohg.engine", "ohg.states"}),
+    (("color", "{bug}", "--n", "3"), {"ohg.engine", "ohg.states"}),
+    (("color", "{bug}", "--n", "3", "--algorithm", "exact"), set()),
+    (("chroma", "{bug}"), set()),
+    (("verify-for", "{pentagon}", "{pentagon_vec}"), set()),
+    (("export", "{bug}", "--format", "json"), set()),
+    (("gadget", "bug"), {"ohg.gadgets"}),
+    (("gadget", "bug", "--travis"), {"ohg.gadgets", "ohg.engine", "ohg.states"}),
+    (("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
+     {"ohg.gadgets", "ohg.engine", "ohg.states"}),
+    (("count", "--na", "3", "--nb", "3", "--nn", "8"), {"ohg.gadgets"}),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(sorted(v)) or "none")
+def test_commands_load_tables_and_gadgets_only_to_use_them(paths, args, loads):
+    before, after, code = probe(*(a.format(**paths) for a in args),
+                                watched=("ohg.engine", "ohg.states", "ohg.gadgets"))
+    assert code == 0
+    assert before == set()
+    assert after == loads
