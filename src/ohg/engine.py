@@ -5,17 +5,21 @@ exactly one 1. The engine does depth-first branching on contexts with unit
 propagation (a 1 forces 0 on all 2-section neighbors; a context with one
 undetermined vertex left forces it to 1; an all-0 context kills the branch).
 When the residual problem falls apart into independent components the engine
-solves them separately and combines, which is what makes the 108-vertex
-binding composition (2,239,488 states) enumerable in seconds. The counter also
-caches the count of every component it solves, keyed by the component's
-contexts and its undetermined vertices (the component caching of #SAT model
-counters), so a component met again in another branch costs one lookup. That
-counts the 378-vertex binding (about 5.9e23 states) in a fraction of a second.
+searches them separately, and it caches every component it searches, keyed by
+the component's contexts and its undetermined vertices (the component caching
+of #SAT model counters), so a component met again in another branch costs one
+lookup. That counts the 378-vertex binding (about 5.9e23 states) in a fraction
+of a second.
 
-The branching loop combines its results through an algebra. This module holds
-the loop and plain counting (:func:`count_states`); :mod:`ohg.states` adds
-co-truth counts and the rows themselves. ``ohg states --count-only`` loads
-this module alone, not the table code.
+The search runs once and returns its trace (:meth:`_Problem.compile`), a
+decision-DNNF in the sense of Huang and Darwiche ("The language of search",
+JAIR 2007): nodes that force vertices true, over independent parts, each a
+choice between the branches of one context. Every question is then a pass
+over the trace. This module holds the counting pass (:func:`count`, which also
+counts the states false on a set of vertices) and :func:`count_states`;
+:mod:`ohg.states` adds the passes for co-truth counts and for the rows
+themselves. ``ohg states --count-only`` loads this module alone, not the
+table code.
 
 The engine works on :mod:`ohg.core`'s masks, bit ``i`` = vertex ``i``, taken
 from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.
@@ -23,7 +27,6 @@ from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 from .core import Hypergraph, _bits
@@ -99,98 +102,101 @@ class _Problem:
         return [(bits, und, sorted(group))
                 for und, bits, group in sorted(comps, key=lambda c: min(c[2]))]
 
-    def solve(
+    def compile(
         self,
-        alg,
-        memo: Optional[dict],
+        memo: dict,
         ones: int = 0,
         fresh: int = 0,
         zeros: int = 0,
         active: Optional[Sequence[int]] = None,
         progress: Optional[Callable] = None,
-    ):
-        """``alg``'s result over the states extending ``ones | fresh`` and
-        ``zeros`` on ``active``.
+    ) -> Optional[tuple]:
+        """The trace of the search over the states extending ``ones | fresh``
+        and ``zeros`` on ``active``, or ``None`` when there is none.
 
-        The algebra combines results: ``alg.zero`` (falsy) stands for no
-        state, ``alg.node(now, forced, parts)`` for independent parts under
-        the vertices ``now`` true in every state, of which ``forced``
-        (``fresh`` and every vertex propagation forces here) were set at this
-        node, and ``alg.add(results)`` for the branches of one context.
-        ``memo`` caches the result of each residual component; one dict serves
-        one hypergraph, one algebra and every branch of the search. ``None``
-        turns the cache off, for results that depend on ``ones``. With
-        ``progress`` the node is branched as a whole and the running result is
-        reported after each branch.
+        A node is ``(forced, parts)``: ``forced`` holds the vertices set true
+        at the node (``fresh`` and every vertex propagation forces here), and
+        each part, one residual component, is the tuple of the nodes for the
+        branches of its branching context. A state picks one node of every
+        part below the nodes it picks, and is true exactly on the vertices
+        those nodes force. ``memo`` maps each component to its part; one dict
+        serves one hypergraph and every branch of the search, so a component
+        met again is shared, not searched again. With ``progress`` the node is
+        branched as a whole, and each branch (a node or ``None``) is reported
+        as it is found.
         """
         if active is None:
             active = range(len(self.ctx_masks))
         res = self.propagate(ones | fresh, zeros, active)
         if res is None:
-            return alg.zero
+            return None
         now, zeros, active = res
         forced = now & ~ones
         if not active:
-            return alg.node(now, forced, [])
+            return forced, ()
         if progress:
-            whole = self._branch(alg, memo, now, zeros, active, progress)
-            return alg.node(now, forced, [whole])
+            whole = self._branch(memo, now, zeros, active, progress)
+            return (forced, (whole,)) if whole else None
         parts = []
         for group_bits, und, group in self.components(zeros, active):
-            if memo is None:
-                part = self._branch(alg, memo, now, zeros, group)
-            else:
-                # A group's result depends only on which of its vertices are
-                # still undetermined: none of them is true (its contexts are
-                # unresolved), and no undetermined vertex has a true
-                # neighbour, because setting a vertex true zeroes all its
-                # neighbours. So ``ones`` is left out of the key. For a fixed
-                # group, ``und`` is the union of its context masks minus
-                # ``zeros``, so it carries the same information as ``zeros``
-                # restricted to that union.
-                key = (group_bits, und)
-                part = memo.get(key)
-                if part is None:
-                    part = memo[key] = self._branch(alg, memo, now, zeros, group)
+            # A group's part depends only on which of its vertices are still
+            # undetermined: none of them is true (its contexts are
+            # unresolved), and no undetermined vertex has a true neighbour,
+            # because setting a vertex true zeroes all its neighbours. So
+            # ``ones`` is left out of the key. For a fixed group, ``und`` is
+            # the union of its context masks minus ``zeros``, so it carries
+            # the same information as ``zeros`` restricted to that union.
+            key = (group_bits, und)
+            part = memo.get(key)
+            if part is None:
+                part = memo[key] = self._branch(memo, now, zeros, group)
             if not part:
-                return alg.zero
+                return None
             parts.append(part)
-        return alg.node(now, forced, parts)
+        return forced, tuple(parts)
 
     def _branch(
         self,
-        alg,
-        memo: Optional[dict],
+        memo: dict,
         ones: int,
         zeros: int,
         active: Sequence[int],
         progress: Optional[Callable] = None,
-    ):
-        """Sum of the results of each way to make one undetermined vertex of
-        the branching context true."""
+    ) -> tuple:
+        """The nodes of each way to make one undetermined vertex of the
+        branching context true."""
         ci = self.branch_context(zeros, active)
-        results = []
+        branches = []
         for v in _bits(self.ctx_masks[ci] & ~zeros):
             # no conflict test: an undetermined vertex never has a true neighbour
-            zs = zeros | self.nbr[v]
-            results.append(self.solve(alg, memo, ones, 1 << v, zs, active))
+            node = self.compile(memo, ones, 1 << v, zeros | self.nbr[v], active)
+            if node is not None:
+                branches.append(node)
             if progress:
-                progress(alg.add(results))
-        return alg.add(results)
+                progress(node)
+        return tuple(branches)
 
 
-class _Count:
-    """Plain counting: a result is the number of states."""
+def count(node: Optional[tuple], zeros: int = 0) -> int:
+    """Number of states below the trace ``node`` that are false on every
+    vertex of ``zeros``: a node forcing one of them counts 0, any other the
+    product over its parts of the sum over their nodes. Each part is
+    counted once, however many nodes share it."""
+    sums: dict[int, int] = {}
 
-    zero = 0
+    def up(node: tuple) -> int:
+        forced, parts = node
+        if forced & zeros:
+            return 0
+        n = 1
+        for part in parts:
+            s = sums.get(id(part))
+            if s is None:
+                s = sums[id(part)] = sum(map(up, part))
+            n *= s
+        return n
 
-    @staticmethod
-    def node(now: int, forced: int, parts: list[int]) -> int:
-        return math.prod(parts)
-
-    @staticmethod
-    def add(results: list[int]) -> int:
-        return sum(results)
+    return up(node) if node else 0
 
 
 def count_states(
@@ -198,8 +204,17 @@ def count_states(
 ) -> int:
     """Number of two-valued states, without storing rows.
 
-    Counting caches the count of every residual component for the duration
-    of the call. ``progress`` is invoked with the running total after each
-    branch of the root node.
+    Counting caches every residual component for the duration of the call.
+    ``progress`` is invoked with the running total after each branch of the
+    root node.
     """
-    return _Problem(h).solve(_Count, {}, progress=progress)
+    report = None
+    if progress:
+        total = 0
+
+        def report(branch: Optional[tuple]) -> None:
+            nonlocal total
+            total += count(branch)
+            progress(total)
+
+    return count(_Problem(h).compile({}, progress=report))

@@ -1,17 +1,15 @@
 """Two-valued state tables and the analyses over them.
 
-The search of :mod:`ohg.engine` runs with one of three ways of combining
-results (algebras): plain counts (:func:`count_states`, defined in the
-engine and the same function here), counts together with per-vertex true
-counts and pairwise co-truth counts (:func:`cotruth`), or the rows
-themselves (:func:`enumerate_states`). The pairwise analyses
-(classification, gadget scans and profiles, reconstruction by the adjacency
-criterion) need nothing else, so they run without a state table, on the
-378-vertex binding too. Only row-level work enumerates: the state matrix,
-the relaxed colouring and, only as a fallback, the paper's row selection.
-Enumeration counts first and refuses a table above :data:`ROW_BUDGET` rows;
-it runs without the component cache, because its results are whole states,
-not parts of them.
+The search of :mod:`ohg.engine` returns its trace, and each answer here is
+a pass over it: plain counts (:func:`count_states`, defined in
+the engine and the same function here), per-vertex true counts and pairwise
+co-truth counts (:func:`cotruth`), or the rows themselves
+(:func:`enumerate_states`). The pairwise analyses (classification, gadget
+scans and profiles, reconstruction by the adjacency criterion) need nothing
+else, so they run without a state table, on the 378-vertex binding too. Only
+row-level work enumerates: the state matrix, the relaxed colouring and, only
+as a fallback, the paper's row selection. Enumeration counts the trace first
+and refuses a table above :data:`ROW_BUDGET` rows.
 
 Counts under a fixed prefix of the columns place a state in the canonical row
 order without the table (:class:`CanonicalRows`): the first row, the rank of
@@ -19,7 +17,7 @@ any state, and the states disjoint from a given one, which is all the paper's
 row selection needs when its find starts with row 1.
 
 Pairwise co-truth counts have one form, from a table
-(:attr:`TravisMatrix.cooc`) or from the counter (:func:`cotruth`): a
+(:attr:`TravisMatrix.cooc`) or from the trace (:func:`cotruth`): a
 ``k``-tuple of ``k``-tuples of exact Python ints, ``cooc[i][j]``, since the
 counts of the 378-vertex binding pass 2**63. The package needs nothing
 beyond the standard library.
@@ -31,19 +29,18 @@ Python int whose binary digits read like a printed matrix row, i.e. column
 ``j`` (vertex ``j`` in declaration order) sits at bit ``k - 1 - j``. Sorting
 these ints descending therefore yields the canonical row order: descending as
 binary numbers under the column order. Enumeration converts from the engine's
-order to reading order once per state leaf of the search (:class:`_Rows`).
+order to reading order once per leaf of the trace (:func:`_rows`).
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Hypergraph, _bits, record
-from .engine import _Count, _Problem, count_states  # noqa: F401 (re-exported)
+from .engine import _Problem, count, count_states  # noqa: F401 (re-exported)
 from .errors import (
     ColumnCountMismatchError,
     NotAGadgetPairError,
@@ -303,124 +300,101 @@ class GadgetScan(NamedTuple):
     tits_pairs: frozenset[tuple[str, str]]
 
 
-class _CoTruthSum:
-    """Co-truth counting: a result is ``None`` when there is no state, else
-    ``(n, cols, m)``.
-
-    ``n`` is the number of states, ``cols`` the indices of every vertex they
-    may set true, in any order, and ``m`` the co-truth counts over ``cols``
-    as rows of exact ints: ``m[a][b]`` counts the states making columns
-    ``cols[a]`` and ``cols[b]`` both true, and the diagonal holds the true
-    counts. Results are shared through the memo and never modified.
-    """
-
-    zero = None
-
-    @staticmethod
-    def node(now: int, forced: int, parts: list[tuple]) -> tuple:
-        """Independent parts under vertices true in every state.
-
-        With ``n`` the product of the part counts, a forced column is true
-        in all ``n`` states and column ``a`` of part ``i`` in
-        ``n / n_i * m_i[a][a]``, so those are also their co-truth counts
-        with the forced columns. Columns ``a``, ``b`` of one part are jointly
-        true in ``n / n_i * m_i[a][b]`` states, of parts ``i != j`` in
-        ``n / (n_i * n_j) * m_i[a][a] * m_j[b][b]``. The forced columns come
-        first, then each part's columns in turn.
-        """
-        if not forced and len(parts) == 1:
-            return parts[0]
-        n = math.prod(p[0] for p in parts)
-        cols = list(_bits(forced))
-        nf = len(cols)
-        diags = [_diagonal(part_m) for _, _, part_m in parts]
-        true_counts = [n] * nf
-        for (part_n, part_cols, _), diag in zip(parts, diags):
-            cols += part_cols
-            true_counts += map(operator.mul, diag, repeat(n // part_n))
-        m = [true_counts] * nf
-        for i, (part_n, _, part_m) in enumerate(parts):
-            rest = n // part_n
-            for ta, part_row in zip(diags[i], part_m):
-                row = [ta * rest] * nf
-                for j, (n2, _, _) in enumerate(parts):
-                    if j == i:
-                        row += (map(operator.mul, part_row, repeat(rest))
-                                if rest > 1 else part_row)
-                    else:
-                        row += map(operator.mul, diags[j], repeat(ta * (rest // n2)))
-                m.append(row)
-        return n, cols, m
-
-    @staticmethod
-    def add(results: list) -> Optional[tuple]:
-        """Branches of one context: counts and co-truth matrices add up, over
-        the union of the branches' columns."""
-        results = [r for r in results if r is not None]
-        if len(results) <= 1:
-            return results[0] if results else None
-        cols = list(dict.fromkeys(c for _, part_cols, _ in results for c in part_cols))
-        # each branch's rows, by column, laid out over the union
-        spread = [dict(zip(part_cols, _spread(part_cols, part_m, cols)))
-                  for _, part_cols, part_m in results]
-        m = []
-        for c in cols:
-            rows = [s[c] for s in spread if c in s]
-            row = rows[0]
-            for other in rows[1:]:
-                row = list(map(operator.add, row, other))
-            m.append(row)
-        return sum(r[0] for r in results), cols, m
-
-
-def _spread(cols: Sequence[int], m: Sequence[Sequence[int]],
-            union: Sequence[int]) -> list[tuple[int, ...]]:
-    """The rows of the co-truth counts ``m`` over ``cols``, each laid out
-    over ``union``, a superset of ``cols`` in any order, with zeros at the
-    other columns."""
-    at = {c: a for a, c in enumerate(cols)}
-    # an index past the end of a row picks the 0 appended to it
-    idx = [at.get(c, len(cols)) for c in union]
-    # itemgetter of one index returns the entry itself, not a 1-tuple
-    pick = (operator.itemgetter(*idx) if len(idx) > 1
-            else lambda row: tuple(row[a] for a in idx))
-    return [pick([*row, 0]) for row in m]
-
-
 def _mirror(mask: int, k: int) -> int:
     """``mask`` with its ``k`` low bits reversed: an engine mask (bit ``i`` =
     vertex ``i``) as a row in reading order, and back."""
     return int(format(mask, f"0{k}b")[::-1], 2)
 
 
-class _Rows:
-    """Enumeration: a result is the list of the states themselves, as rows
-    in reading order (see the module docstring)."""
+def _rows(node: Optional[tuple], k: int, zeros: int = 0, now: int = 0) -> list[int]:
+    """The states below the trace ``node`` that are false on ``zeros``, as
+    rows in reading order (see the module docstring), unsorted.
 
-    zero: list[int] = []
+    ``now`` holds the vertices the nodes above set true. A leaf's state is
+    ``now`` with its own forced vertices; a node with parts ORs one row of
+    each part in every combination, since each part's rows hold ``now``.
+    """
+    if node is None:
+        return []
+    forced, parts = node
+    if forced & zeros:
+        return []
+    now |= forced
+    if not parts:
+        return [_mirror(now, k)]
+    rows = None
+    for part in parts:
+        part_rows: list[int] = []
+        for branch in part:
+            part_rows += _rows(branch, k, zeros, now)
+        rows = part_rows if rows is None else [a | b for a in rows for b in part_rows]
+    return rows
 
-    def __init__(self, k: int):
-        self.k = k
 
-    def node(self, now: int, forced: int, parts: list[list[int]]) -> list[int]:
-        """A leaf's one state, else every combination of the parts' states.
+def _order(root: tuple) -> list[list[tuple]]:
+    """The parts of the trace below ``root``, each before the parts below
+    it, starting with the one-node part ``(root,)``. A node appears as
+    ``(forced, forced vertices, positions of its parts in the list)``."""
+    post: list[tuple] = []
+    at: dict[int, int] = {}
 
-        Each part's rows hold ``now`` and the part's own true vertices, so
-        OR-ing one row of each part gives a whole state.
-        """
-        if not parts:
-            return [_mirror(now, self.k)]
-        rows = parts[0]
-        for part in parts[1:]:
-            rows = [a | b for a in rows for b in part]
-        return rows
+    def visit(part: tuple) -> None:
+        for _, parts in part:
+            for sub in parts:
+                if id(sub) not in at:
+                    visit(sub)
+        at[id(part)] = len(post)
+        post.append(part)
 
-    @staticmethod
-    def add(results: list[list[int]]) -> list[int]:
-        rows: list[int] = []
-        for part in results:
-            rows.extend(part)
-        return rows
+    visit((root,))
+    last = len(post) - 1
+    return [[(forced, tuple(_bits(forced)), tuple(last - at[id(sub)] for sub in parts))
+             for forced, parts in part]
+            for part in reversed(post)]
+
+
+def _true_counts(order: list[list[tuple]], k: int, zeros: int) -> tuple[int, ...]:
+    """Per vertex, the number of states false on ``zeros`` that make it
+    true, from the parts of a trace in :func:`_order`.
+
+    One pass up counts the states below each part; one pass down counts
+    the ways to reach each part from the root, the derivative of the count
+    by that part. The states through a node are the ways to reach its part
+    times the states below the node, and each of them makes the node's
+    forced vertices true.
+    """
+    sums = [0] * len(order)
+    for p in range(len(order) - 1, -1, -1):
+        total = 0
+        for forced, _, subs in order[p]:
+            if not forced & zeros:
+                n = 1
+                for q in subs:
+                    n *= sums[q]
+                total += n
+        sums[p] = total
+    counts = [0] * k
+    ways = [0] * len(order)
+    ways[0] = 1
+    for p, part in enumerate(order):
+        reach = ways[p]
+        if not reach:
+            continue
+        for forced, bits, subs in part:
+            if forced & zeros:
+                continue
+            n = 1
+            for q in subs:
+                n *= sums[q]
+            if not n:
+                continue
+            through = reach * n
+            for v in bits:
+                counts[v] += through
+            for q in subs:
+                # n // sums[q]: the states of the node's other parts
+                ways[q] += reach * (n // sums[q])
+    return tuple(counts)
 
 
 def check_row_budget(n: int, *, row_limit: Optional[int] = None) -> None:
@@ -441,31 +415,26 @@ class CanonicalRows:
     order: by the first column, 1 before 0, then by the second, and so on.
     Rows here are ints in reading order, as in :class:`TravisMatrix`. Each
     answer comes from counts of the states that agree with a prefix of the
-    columns (:meth:`count`), and every count shares one component memo. That
-    is sound because each call passes the neighbours of its true vertices in
-    ``zeros``, as the search does when it sets a vertex true (propagation
-    zeroes the neighbours only of the vertices it forces itself): no
-    undetermined vertex has a true neighbour, so a memo key ``(group_bits,
-    und)`` means the same in every call.
+    columns (:meth:`count`), each a pass over one trace of the search. A
+    state is true on a vertex exactly when it is false on all the vertex's
+    neighbours, so every question is one of states false on a set of
+    vertices.
     """
 
     def __init__(self, h: Hypergraph):
-        self._prob = _Problem(h)
-        self._memo: dict = {}
+        self._nbr = h.neighbor_masks
+        self._root = _Problem(h).compile({})
         self._k = len(h.vertices)
         #: the number of states, the table's row count
-        self.nts = self.count()
+        self.nts = count(self._root)
 
     def count(self, ones: int = 0, zeros: int = 0) -> int:
         """Number of states true on the vertices of ``ones`` and false on
         those of ``zeros``, both masks in :mod:`ohg.core`'s order (bit ``i``
         = vertex ``i``)."""
-        nbr = self._prob.nbr
         for v in _bits(ones):
-            zeros |= nbr[v]
-        if ones & zeros:
-            return 0
-        return self._prob.solve(_Count, self._memo, fresh=ones, zeros=zeros)
+            zeros |= self._nbr[v]
+        return count(self._root, zeros)
 
     def first(self) -> int:
         """Row 1, the largest state: column by column, 1 wherever some state
@@ -495,9 +464,8 @@ class CanonicalRows:
 
     def disjoint(self, row: int) -> list[int]:
         """The states false on every vertex ``row`` makes true, in canonical
-        order: a table of them alone, enumerated with those vertices set to
-        0 from the start."""
-        rows = self._prob.solve(_Rows(self._k), None, zeros=_mirror(row, self._k))
+        order."""
+        rows = _rows(self._root, self._k, _mirror(row, self._k))
         rows.sort(reverse=True)
         return rows
 
@@ -506,15 +474,15 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     """All two-valued states of ``h`` as a canonically ordered matrix.
 
     A hypergraph admitting no state at all (the Kochen-Specker situation)
-    yields an empty matrix, not an error. The states are counted first, and
-    a table of more than ``row_limit`` rows (default :data:`ROW_BUDGET`) is
-    refused with :class:`RowLimitExceededError` before any row is built. Use
-    :func:`count_states` when only the number is needed and :func:`cotruth`
-    when only the pairwise counts are.
+    yields an empty matrix, not an error. The search runs once; its trace
+    is counted first, and a table of more than ``row_limit`` rows (default
+    :data:`ROW_BUDGET`) is refused with :class:`RowLimitExceededError` before
+    any row is built. Use :func:`count_states` when only the number is needed
+    and :func:`cotruth` when only the pairwise counts are.
     """
-    prob = _Problem(h)
-    check_row_budget(prob.solve(_Count, {}), row_limit=row_limit)
-    rows = prob.solve(_Rows(len(h.vertices)), None)
+    root = _Problem(h).compile({})
+    check_row_budget(count(root), row_limit=row_limit)
+    rows = _rows(root, len(h.vertices))
     rows.sort(reverse=True)
     return TravisMatrix(h.vertices, tuple(rows))
 
@@ -522,16 +490,20 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
 def cotruth(h: Hypergraph) -> CoTruth:
     """State count and pairwise co-truth counts of ``h``, without a table.
 
-    One pass of the component-cached counter carries, for every component,
-    its count and its co-truth matrix (see :class:`_CoTruthSum`), so the
-    378-vertex binding (about 5.9e23 states) is analysed in seconds. The
-    result equals ``enumerate_states(h).cooc`` entry for entry.
+    The search runs once, and row ``i`` holds the true counts over the
+    states false on every neighbour of ``i``, which are exactly the states
+    making ``i`` true: one pass up and one down over the trace per vertex
+    (:func:`_true_counts`), so the 378-vertex binding (about 5.9e23 states)
+    is analysed in under a second. The result equals
+    ``enumerate_states(h).cooc`` entry for entry.
     """
     k = len(h.vertices)
-    n, cols, m = _Problem(h).solve(_CoTruthSum, {}) or (0, [], [])
-    rows = dict(zip(cols, _spread(cols, m, range(k))))
-    zeros = (0,) * k
-    return CoTruth(h.vertices, n, tuple(rows.get(v, zeros) for v in range(k)))
+    root = _Problem(h).compile({})
+    if root is None:
+        return CoTruth(h.vertices, 0, ((0,) * k,) * k)
+    order = _order(root)
+    return CoTruth(h.vertices, count(root),
+                   tuple(_true_counts(order, k, nbr) for nbr in h.neighbor_masks))
 
 
 def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:

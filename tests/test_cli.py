@@ -40,6 +40,13 @@ def bind_g32_bug_file(tmp_path, bug_file):
     return str(path)
 
 
+@pytest.fixture
+def bind_fig4_file(tmp_path, bind_fig4):
+    path = tmp_path / "bind_fig4.ohg"
+    path.write_text(write_ohg(bind_fig4))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -156,11 +163,6 @@ class TestStates:
         assert code == 0 and out == "14\n"
         assert "states so far:" in err
 
-    def test_jobs_env_fallback(self, capsys, bug_file, monkeypatch):
-        monkeypatch.setenv("OHG_JOBS", "2")
-        code, out, _ = run(capsys, "states", bug_file, "--count-only")
-        assert code == 0 and out == "14\n"
-
 
 class TestClassify:
     def test_text(self, capsys, bug_file):
@@ -208,12 +210,6 @@ class TestReconstruct:
 class TestRowBudget:
     """Commands that need the state table refuse an oversized one early."""
 
-    @pytest.fixture
-    def bind_fig4_file(self, tmp_path, bind_fig4):
-        path = tmp_path / "bind_fig4.ohg"
-        path.write_text(write_ohg(bind_fig4))
-        return str(path)
-
     @pytest.mark.parametrize("argv", [
         ["color", "{}", "--n", "3"],
         # more colours than a context has vertices: refused as a table first
@@ -238,6 +234,22 @@ class TestRowBudget:
         assert code == 2 and "row budget of 5" in err
         code, out, _ = run(capsys, "states", bug_file, "--limit", "14")
         assert code == 0 and parse_matrix(out).n_rows == 14
+
+
+@pytest.mark.parametrize("command, code, lines", [
+    ("classify", 0, ["nTS: 594252343817330688000000"]),
+    ("reconstruct", 1, ["verdict: extra-structure", "extra context: a b c",
+                        "extra context: a' b' c'",
+                        "extra context: a'' b'' c''"]),
+])
+def test_pairwise_counts_in_small_memory(bind_fig4_file, command,
+                                         code, lines):
+    # the co-truth counts of bind(fig4) come from passes over one trace
+    # of the search; holding a co-truth matrix per component needed
+    # ~330 MB and failed with MemoryError under this 256 MiB cap
+    result = run_ohg(command, bind_fig4_file, address_space=256 << 20)
+    assert result.returncode == code, result.stderr
+    assert set(lines) <= set(result.stdout.splitlines())
 
 
 class TestColor:

@@ -137,6 +137,23 @@ class TestEnumerate:
         assert seen == sorted(seen)
 
 
+def _pastings(rng: random.Random, n: int):
+    """``n`` random pastings with contexts of 2 to 5 vertices; every other
+    one is the disjoint union of two, so the search's root has two or more
+    independent parts."""
+    def one() -> core.Hypergraph:
+        return random_pasting(rng, max_contexts=4, size=rng.randint(2, 5))
+
+    for i in range(n):
+        h = one()
+        if i % 2:
+            g = one()
+            h = core.build([sorted(c, key=h.index.get) for c in h.contexts]
+                           + [["u" + v for v in sorted(c, key=g.index.get)]
+                              for c in g.contexts])
+        yield h
+
+
 def _check_canonical(h: core.Hypergraph) -> None:
     t = states.enumerate_states(h)
     order = states.CanonicalRows(h)
@@ -151,7 +168,7 @@ def _check_canonical(h: core.Hypergraph) -> None:
 
 class TestCanonicalRows:
     """Row 1, ranks and the states disjoint from a row, from prefix counts
-    on one shared memo, against the canonical table."""
+    over one trace of the search, against the canonical table."""
 
     @pytest.mark.parametrize("name", ["k3", "triangle", "pentagon", "bug",
                                       "g32", "g32x", "underlying", "fig4"])
@@ -162,6 +179,8 @@ class TestCanonicalRows:
         rng = random.Random(2025)
         for size in (2, 3, 4, 5) * 6:
             _check_canonical(random_pasting(rng, size=size))
+        for h in _pastings(rng, 24):
+            _check_canonical(h)
 
     def test_contradictory(self):
         order = states.CanonicalRows(core.build(CONTRADICTORY))
@@ -169,20 +188,26 @@ class TestCanonicalRows:
 
     def test_counts_match_table(self, bug):
         # true on one random set of vertices and false on another, adjacent
-        # and overlapping sets included, after counts that fill the memo
-        t = states.enumerate_states(bug)
-        order = states.CanonicalRows(bug)
-        sets = [t.row_true_set(r) for r in range(t.n_rows)]
-
-        def mask(vs):
-            return sum(1 << bug.index[v] for v in vs)
-
+        # and overlapping sets included; on pastings, also the states
+        # disjoint from random rows, which need not be states
         rng = random.Random(5)
-        for _ in range(300):
-            ones = set(rng.sample(bug.vertices, rng.randint(0, 3)))
-            zeros = set(rng.sample(bug.vertices, rng.randint(0, 5)))
-            want = sum(ones <= s and not zeros & s for s in sets)
-            assert order.count(mask(ones), mask(zeros)) == want
+        for h, tries in [(bug, 300), *((h, 30) for h in _pastings(rng, 24))]:
+            t = states.enumerate_states(h)
+            order = states.CanonicalRows(h)
+            sets = [t.row_true_set(r) for r in range(t.n_rows)]
+
+            def mask(vs):
+                return sum(1 << h.index[v] for v in vs)
+
+            for _ in range(tries):
+                ones = set(rng.sample(h.vertices, rng.randint(0, 3)))
+                zeros = set(rng.sample(h.vertices, rng.randint(0, 5)))
+                want = sum(ones <= s and not zeros & s for s in sets)
+                assert order.count(mask(ones), mask(zeros)) == want
+            if h is not bug:
+                for row in random_rows(rng, t.n_cols, 5):
+                    assert order.disjoint(row) == [r for r in t.rows
+                                                   if not r & row]
 
     def test_bind_bug(self, bind_bug, bind_bug_matrix):
         t = bind_bug_matrix
@@ -284,6 +309,8 @@ class TestCoTruth:
         rng = random.Random(2024)
         for _ in range(25):
             h = random_pasting(rng)
+            _same_counts(states.cotruth(h), states.enumerate_states(h))
+        for h in _pastings(rng, 24):
             _same_counts(states.cotruth(h), states.enumerate_states(h))
 
     def test_contradictory(self):
