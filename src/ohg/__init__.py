@@ -12,8 +12,9 @@ import importlib
 # Public names by submodule, each imported on first use (PEP 562), so that a
 # command loads only the modules it runs.
 _EXPORTS = {
-    "core": ("FourCycle Graph Hypergraph ShapeReport build four_cycle_lint "
-             "is_isomorphic maximal_cliques shape two_section"),
+    "model": "Hypergraph build",
+    "core": ("FourCycle Graph ShapeReport four_cycle_lint is_isomorphic "
+             "maximal_cliques shape two_section"),
     "errors": "OhgError",
     "engine": "count_states",
     "states": ("CoTruth GadgetProfile GadgetScan StateClassification TravisMatrix "

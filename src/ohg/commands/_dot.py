@@ -1,0 +1,31 @@
+"""The DOT drawing that ``export`` and ``color`` print. Names are quoted with
+``\\`` and ``"`` escaped, since a vertex name refuses only whitespace."""
+
+from __future__ import annotations
+
+_DOT_PALETTE = (
+    "red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta",
+    "olive", "teal", "gold", "gray", "pink", "navy", "limegreen", "salmon",
+)
+
+
+def _quote(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dot_structure(h: Hypergraph, fills: Optional[dict[str, int]] = None) -> str:
+    lines = ["graph hypergraph {", "  node [shape=circle];"]
+    for v in h.vertices:
+        if fills and v in fills:
+            color = _DOT_PALETTE[(fills[v] - 1) % len(_DOT_PALETTE)]
+            lines.append(f'  {_quote(v)} [style=filled, fillcolor="{color}"];')
+        else:
+            lines.append(f"  {_quote(v)};")
+    idx = h.index
+    for ci, ctx in enumerate(h.contexts):
+        color = _DOT_PALETTE[ci % len(_DOT_PALETTE)]
+        members = sorted(ctx, key=idx.__getitem__)
+        for u, v in zip(members, members[1:]):
+            lines.append(f'  {_quote(u)} -- {_quote(v)} [color="{color}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

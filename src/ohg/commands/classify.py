@@ -1,0 +1,47 @@
+"""``ohg classify``: unital, separable and perfectly-separable verdicts."""
+
+from ..cli import _emit_json, _load_hypergraph
+from ..errors import SizeLimitError
+
+
+def add_arguments(p) -> None:
+    p.add_argument("file")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def run(args) -> int:
+    from .. import coloring, core, states
+
+    h = _load_hypergraph(args.file)
+    c = states.classify(h, states.cotruth(h))
+    rep = core.shape(h)
+    semi: Optional[bool]
+    try:
+        semi = coloring.exact_chromatic(h) == rep.clique_number
+    except SizeLimitError:
+        semi = None
+    if args.format == "json":
+        _emit_json({
+            "vertices": list(h.vertices),
+            "nTS": c.nts,
+            "verdicts": {
+                "unital": c.unital,
+                "separable": c.separable,
+                "perfectlySeparable": c.perfectly_separable,
+                "semiPerfect": semi,
+            },
+            "witness": list(c.fail_witness) if c.fail_witness else None,
+        })
+        return 0
+    print(f"nTS: {c.nts}")
+    print(f"unital: {'yes' if c.unital else 'no'}")
+    print(f"separable: {'yes' if c.separable else 'no'}")
+    print(f"perfectly-separable: {'yes' if c.perfectly_separable else 'no'}")
+    if c.fail_witness:
+        u, v, item = c.fail_witness
+        print(f"witness: pair ({u}, {v}) misses condition {item}")
+    if semi is None:
+        print("semi-perfect: unknown (size limit)")
+    else:
+        print(f"semi-perfect: {'yes' if semi else 'no'}")
+    return 0

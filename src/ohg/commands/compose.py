@@ -1,0 +1,36 @@
+"""``ohg compose``: layer or bind a gadget."""
+
+import sys
+
+from ..cli import _emit_json, _load_hypergraph
+
+
+def add_arguments(p) -> None:
+    p.add_argument("kind", choices=("layer", "bind"))
+    p.add_argument("file")
+    p.add_argument("--head", required=True)
+    p.add_argument("--tail", required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def run(args) -> int:
+    from .. import gadgets
+    from ..formats import write_ohg
+
+    gadget = _load_hypergraph(args.file)
+    spec = gadgets.BindSpec(gadget, args.head, args.tail)
+    composed = gadgets.layer(spec) if args.kind == "layer" else gadgets.bind(spec)
+    if args.format == "json":
+        _emit_json({
+            "vertices": list(composed.vertices),
+            "contexts": [sorted(c, key=composed.index.__getitem__)
+                         for c in composed.contexts],
+        })
+        return 0
+    sys.stdout.write(write_ohg(composed))
+    print(
+        f"{args.kind}: {len(composed.vertices)} vertices, "
+        f"{len(composed.contexts)} contexts",
+        file=sys.stderr,
+    )
+    return 0

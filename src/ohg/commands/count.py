@@ -1,0 +1,25 @@
+"""``ohg count``: predicted state count of a binding."""
+
+from ..cli import _emit_json
+from ..errors import OhgError
+
+
+def add_arguments(p) -> None:
+    p.add_argument("--na", type=int, required=True)
+    p.add_argument("--nb", type=int, required=True)
+    p.add_argument("--nn", type=int, required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def run(args) -> int:
+    from .. import gadgets
+
+    try:
+        value = gadgets.predicted_bind_count(args.na, args.nb, args.nn)
+    except ValueError as exc:
+        raise OhgError(str(exc)) from None
+    if args.format == "json":
+        _emit_json({"count": value})
+    else:
+        print(value)
+    return 0

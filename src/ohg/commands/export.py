@@ -1,0 +1,24 @@
+"""``ohg export``: emit the hypergraph as JSON or DOT."""
+
+import sys
+
+from ..cli import _emit_json, _load_hypergraph
+
+
+def add_arguments(p) -> None:
+    p.add_argument("file")
+    p.add_argument("--format", choices=("json", "dot"), required=True)
+
+
+def run(args) -> int:
+    h = _load_hypergraph(args.file)
+    if args.format == "json":
+        _emit_json({
+            "vertices": list(h.vertices),
+            "contexts": [sorted(c, key=h.index.__getitem__) for c in h.contexts],
+        })
+    else:
+        from ._dot import dot_structure
+
+        sys.stdout.write(dot_structure(h))
+    return 0

@@ -1,0 +1,88 @@
+"""``ohg states``: enumerate or count all two-valued states."""
+
+from __future__ import annotations
+
+import sys
+
+from ..cli import _emit_json, _load_hypergraph
+from ..errors import OhgError
+
+
+def add_arguments(p) -> None:
+    p.add_argument("file")
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--out", metavar="MATRIXFILE")
+    p.add_argument("--limit", type=int, default=None,
+                   help="abort past this many rows (replaces the row budget)")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--progress", action="store_true",
+                   help="stream running counts to stderr")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _json_with_rows(payload: dict, t: states.TravisMatrix) -> Iterator[str]:
+    """``_emit_json({**payload, "rows": [row digit strings]})`` in chunks."""
+    import json
+
+    from .. import states
+
+    text = json.dumps({**payload, "rows": []}, indent=2) + "\n"
+    if not t.n_rows:
+        yield text
+        return
+    yield text[:-len("[]\n}\n")] + "["
+    # each row printed with 8 leading zeros, overwritten by the separator
+    sep = b'",\n    "'
+    width = t.n_cols + len(sep)
+    for start in range(0, t.n_rows, states._WRITE_BLOCK):
+        rows = t.rows[start:start + states._WRITE_BLOCK]
+        out = bytearray(states._row_digits(rows, width).encode("ascii"))
+        for i, c in enumerate(sep):
+            out[i::width] = bytes([c]) * len(rows)
+        # a block opens with the tail of a separator: '\n    "' after the
+        # bracket, ',\n    "' after an earlier block
+        yield out[1 if start else 2:].decode("ascii") + '"'
+    yield "\n  ]\n}\n"
+
+
+def run(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise OhgError(f"the row limit must not be negative, got --limit {args.limit}")
+    # --out takes the text matrix, which a count or JSON would not write
+    if args.out and args.count_only:
+        raise OhgError("--count-only and --out cannot be combined")
+    if args.out and args.format == "json":
+        raise OhgError("--out and --format json cannot be combined")
+    h = _load_hypergraph(args.file)
+    if args.count_only:
+        # the engine alone: the count needs none of the table code
+        from .. import engine
+
+        progress = None
+        if args.progress:
+            def progress(total: int) -> None:
+                print(f"states so far: {total}", file=sys.stderr)
+        n = engine.count_states(h, progress=progress)
+        if args.format == "json":
+            _emit_json({"vertices": list(h.vertices), "nTS": n})
+        else:
+            print(n)
+        return 0
+    from .. import states
+    from ..formats import matrix_chunks
+
+    t = states.enumerate_states(h, row_limit=args.limit)
+    if args.out:
+        # opened only now, so that a refused table leaves no file behind
+        try:
+            with open(args.out, "w") as f:
+                f.writelines(matrix_chunks(t))
+        except OSError as exc:
+            raise OhgError(f"cannot write {args.out}: {exc}") from None
+        print(t.n_rows)
+    elif args.format == "json":
+        payload = {"vertices": list(h.vertices), "nTS": t.n_rows}
+        sys.stdout.writelines(_json_with_rows(payload, t))
+    else:
+        sys.stdout.writelines(matrix_chunks(t))
+    return 0

@@ -1,0 +1,43 @@
+"""``ohg verify-for``: check a vector labeling."""
+
+from ..cli import _emit_json, _load_hypergraph, _read
+
+
+def add_arguments(p) -> None:
+    p.add_argument("file")
+    p.add_argument("vectors")
+    # None stands for geometry.DEFAULT_TOLERANCE, so that building the
+    # parser does not load geometry
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def run(args) -> int:
+    from .. import geometry
+    from ..formats import parse_vectors
+
+    h = _load_hypergraph(args.file)
+    labeling = parse_vectors(_read(args.vectors))
+    tol = geometry.DEFAULT_TOLERANCE if args.tol is None else args.tol
+    report = geometry.verify_for(h, labeling, tol=tol)
+    if args.format == "json":
+        _emit_json({
+            "vertices": list(h.vertices),
+            "verdicts": {"faithfulRepresentation": report.ok},
+            "violations": {
+                "nonOrthogonalAdjacent": [list(x) for x in report.non_orthogonal_adjacent],
+                "orthogonalNonAdjacent": [list(x) for x in report.orthogonal_non_adjacent],
+                "colinear": [list(x) for x in report.colinear],
+            },
+        })
+        return 0 if report.ok else 1
+    if report.ok:
+        print("valid faithful orthogonal representation")
+        return 0
+    for u, v, cos in report.non_orthogonal_adjacent:
+        print(f"adjacent but not orthogonal: {u} {v} |cos|={cos:.3e}")
+    for u, v, cos in report.orthogonal_non_adjacent:
+        print(f"orthogonal but not adjacent: {u} {v} |cos|={cos:.3e}")
+    for u, v, cos in report.colinear:
+        print(f"colinear: {u} {v} |cos|={cos:.3e}")
+    return 1

@@ -21,7 +21,7 @@ counts the states false on a set of vertices) and :func:`count_states`;
 themselves. ``ohg states --count-only`` loads this module alone, not the
 table code.
 
-The engine works on :mod:`ohg.core`'s masks, bit ``i`` = vertex ``i``, taken
+The engine works on :mod:`ohg.model`'s masks, bit ``i`` = vertex ``i``, taken
 from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .core import Hypergraph, _bits
+from .model import Hypergraph, _bits
 
 
 class _Problem:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .core import Hypergraph, build
 from .errors import ParseError
+from .model import Hypergraph, build
 
 if TYPE_CHECKING:
     from .geometry import VectorLabeling

@@ -16,8 +16,6 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Optional
 
-from . import core
-from .core import Hypergraph, record
 from .errors import (
     AdjacentTerminalsError,
     NotATifsPairError,
@@ -25,6 +23,7 @@ from .errors import (
     RankMismatchError,
     UnknownFixtureError,
 )
+from .model import Hypergraph, build, record
 
 if TYPE_CHECKING:
     from .states import TravisMatrix
@@ -167,7 +166,7 @@ def layer(spec: BindSpec, corners: tuple[str, str, str] = ("a", "b", "c")) -> Hy
     The corners end up mutually non-adjacent, and every state makes at most
     one of them true. Vertex count 3|V|-3, context count 3|E|.
     """
-    g = core.build(_fold(spec, corners, ("g1", "g2", "g3")))
+    g = build(_fold(spec, corners, ("g1", "g2", "g3")))
     expect = 3 * len(spec.gadget.vertices) - 3
     if len(g.vertices) != expect:
         raise OhgError("vertex name collision while composing the layer")
@@ -183,6 +182,8 @@ def bind(spec: BindSpec) -> Hypergraph:
     Requires clique number 3 (the binding contexts are triples). Vertex count
     9|V|-9, context count 9|E|+3.
     """
+    from . import core
+
     if core.shape(spec.gadget).clique_number != 3:
         raise RankMismatchError("the binding construction needs clique number 3")
     contexts: list[tuple[str, ...]] = []
@@ -190,7 +191,7 @@ def bind(spec: BindSpec) -> Hypergraph:
         names = (f"g{3 * i + 1}", f"g{3 * i + 2}", f"g{3 * i + 3}")
         contexts += _fold(spec, corners, names)
     contexts += [tuple(corner[j] for corner in _BIND_CORNERS) for j in range(3)]
-    g = core.build(contexts)
+    g = build(contexts)
     expect = 9 * len(spec.gadget.vertices) - 9
     if len(g.vertices) != expect:
         raise OhgError("vertex name collision while composing the binding")
@@ -245,4 +246,4 @@ def build_fig4(*, flip_first: bool = False, flip_second: bool = False) -> Hyperg
     second = ("a1", "a14") if not flip_second else ("a14", "a1")
     bug1 = _bug_contexts(first[0], first[1], "b1_")
     bug2 = _bug_contexts(second[0], second[1], "b2_")
-    return core.build(ring + chord + bug1 + bug2)
+    return build(ring + chord + bug1 + bug2)

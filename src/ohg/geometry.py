@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .core import Hypergraph, record
 from .errors import DimensionMismatchError, MissingVertexError, OhgError
+from .model import Hypergraph, record
 
 DEFAULT_TOLERANCE = 1e-9
 

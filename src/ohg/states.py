@@ -22,7 +22,7 @@ Pairwise co-truth counts have one form, from a table
 counts of the 378-vertex binding pass 2**63. The package needs nothing
 beyond the standard library.
 
-Bit conventions: the engine works on :mod:`ohg.core`'s masks, bit ``i`` =
+Bit conventions: the engine works on :mod:`ohg.model`'s masks, bit ``i`` =
 vertex ``i``, taken from :attr:`Hypergraph.context_masks` and
 :attr:`Hypergraph.neighbor_masks`. A row of a :class:`TravisMatrix` is one
 Python int whose binary digits read like a printed matrix row, i.e. column
@@ -39,7 +39,6 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Hypergraph, _bits, record
 from .engine import _Problem, count, count_states  # noqa: F401 (re-exported)
 from .errors import (
     ColumnCountMismatchError,
@@ -47,6 +46,7 @@ from .errors import (
     OhgError,
     RowLimitExceededError,
 )
+from .model import Hypergraph, _bits, record
 
 # Rows per block for TravisMatrix.cooc: 65536 rows x 108 columns is 0.9 MB
 _COOC_BLOCK = 65536
@@ -430,7 +430,7 @@ class CanonicalRows:
 
     def count(self, ones: int = 0, zeros: int = 0) -> int:
         """Number of states true on the vertices of ``ones`` and false on
-        those of ``zeros``, both masks in :mod:`ohg.core`'s order (bit ``i``
+        those of ``zeros``, both masks in :mod:`ohg.model`'s order (bit ``i``
         = vertex ``i``)."""
         for v in _bits(ones):
             zeros |= self._nbr[v]

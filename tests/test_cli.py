@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import time
 from pathlib import Path
@@ -12,6 +13,8 @@ from ohg.formats import parse_matrix, parse_ohg, write_ohg
 from conftest import child_options, disjoint_union, ohg_argv, run_ohg
 
 GIB = 1 << 30
+# a DOT double-quoted string, in which a backslash escapes the next character
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
 @pytest.fixture
@@ -135,6 +138,19 @@ class TestStates:
         code, out, err = run(capsys, "states", bug_file, "--limit", "-1", *extra)
         assert code == 2 and out == ""
         assert err == "error: the row limit must not be negative, got --limit -1\n"
+
+    @pytest.mark.parametrize("extra, flags", [
+        (("--count-only",), "--count-only and --out"),
+        (("--format", "json"), "--out and --format json"),
+    ], ids=["count-only", "json"])
+    def test_out_refuses_what_it_would_ignore(self, capsys, bug_file, tmp_path,
+                                              extra, flags):
+        # --out writes the text matrix; neither a count nor JSON reaches it
+        target = tmp_path / "bug.mat"
+        code, out, err = run(capsys, "states", bug_file, "--out", str(target), *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: {flags} cannot be combined\n"
+        assert not target.exists()
 
     def test_zero_limit_admits_no_states(self, capsys, tmp_path):
         # a Kochen-Specker set has an empty table, which a limit of 0 admits
@@ -558,6 +574,24 @@ class TestExport:
                 continue
             text = write_ohg(fx.hypergraph)
             assert parse_ohg(text) == fx.hypergraph
+
+
+@pytest.mark.parametrize("command", [
+    ("export", "--format", "dot"),
+    ("color", "--n", "3", "--algorithm", "exact", "--format", "dot"),
+], ids=lambda c: c[0])
+def test_dot_escapes_names(capsys, tmp_path, command):
+    # names refuse only whitespace, so they may hold the quote and backslash
+    path = tmp_path / "quoted.ohg"
+    path.write_text('a"x b\\ c\\"\n')
+    code, out, _ = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0
+    assert '  "a\\"x" -- "b\\\\"' in out
+    names = set()
+    for line in out.splitlines()[2:-1]:
+        assert '"' not in DOT_STRING.sub("", line), line
+        names.update(re.sub(r"\\(.)", r"\1", m) for m in DOT_STRING.findall(line))
+    assert {'a"x', "b\\", 'c\\"'} <= names
 
 
 class TestErrors:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohg import gadgets, states
-from ohg.cli import _json_with_rows, main
+from ohg.cli import main
+from ohg.commands.states import _json_with_rows
 from ohg.errors import OhgError, ParseError
 from ohg.formats import (
     matrix_chunks,

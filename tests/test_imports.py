@@ -7,7 +7,10 @@ of the watched modules were loaded before and after it: numpy, never;
 reconstruction and geometry modules only for the commands that call them;
 the counting engine, ``ohg.engine``, only where states are counted, listed
 or parsed; the table code, ``ohg.states``, not for a bare count; and
-``ohg.gadgets`` only for the commands that build or name gadgets.
+``ohg.gadgets`` only for the commands that build or name gadgets. Each command
+loads its own module under ``ohg.commands`` and no other subcommand's, and
+the commands that need only the hypergraph model, ``ohg.model``, do not load
+core's graph algorithms.
 """
 
 import subprocess
@@ -17,7 +20,7 @@ from importlib import resources
 import pytest
 
 import ohg
-from ohg import engine, gadgets, reconstruction, states
+from ohg import core, engine, gadgets, model, reconstruction, states
 from ohg.formats import write_ohg
 
 from conftest import child_options
@@ -28,7 +31,8 @@ _PROBE = """
 import sys
 import ohg.cli
 def loaded():
-    return ",".join(m for m in {watched!r} if m in sys.modules) or "-"
+    return ",".join(m for m in sys.modules if m in {watched!r}
+                    or {package!r} and m.startswith("ohg.")) or "-"
 before = loaded()
 code = ohg.cli.main(sys.argv[1:])
 sys.stdout.flush()
@@ -51,12 +55,13 @@ def paths(tmp_path_factory):
     return out
 
 
-def probe(*args: str, watched: tuple[str, ...] = _WATCHED
+def probe(*args: str, watched: tuple[str, ...] = _WATCHED, package: bool = False
           ) -> tuple[set[str], set[str], int]:
-    """The ``watched`` modules loaded after ``import ohg.cli`` and after
-    running ``ohg ARGS``, and the exit code, from a fresh interpreter."""
+    """The ``watched`` modules (with ``package``, every ``ohg.*`` module)
+    loaded after ``import ohg.cli`` and after running ``ohg ARGS``, and the
+    exit code, from a fresh interpreter."""
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(watched=watched), *args],
+        [sys.executable, "-c", _PROBE.format(watched=watched, package=package), *args],
         capture_output=True, text=True, timeout=60, **child_options(),
     )
     assert result.returncode == 0, result.stderr
@@ -115,6 +120,11 @@ def test_count_states_is_one_function():
     # the benchmark's tracer swaps a function for a wrapper by identity in
     # every loaded module, so each name must hold the same object
     assert states.count_states is engine.count_states is ohg.count_states
+
+
+def test_model_objects_are_one_object():
+    assert ohg.Hypergraph is core.Hypergraph is model.Hypergraph
+    assert ohg.build is core.build is model.build
 
 
 PUBLIC = """
@@ -221,3 +231,69 @@ def test_commands_load_tables_and_gadgets_only_to_use_them(paths, args, loads):
     assert code == 0
     assert before == set()
     assert after == loads
+
+
+# The complete set of package modules each command loads: the entry point,
+# the errors, the command's own module and what it runs, and no other
+# subcommand's module.
+_ENTRY = {"ohg.cli", "ohg.errors", "ohg.commands"}
+_FILE = {"ohg.formats", "ohg.model"}
+_TABLE = _FILE | {"ohg.engine", "ohg.states"}
+_CORE = _FILE | {"ohg.core"}
+
+
+@pytest.mark.parametrize("args, loads", [
+    (("states", "{bug}", "--count-only"), _FILE | {"ohg.engine"}),
+    (("states", "{bug}", "--count-only", "--format", "json"), _FILE | {"ohg.engine"}),
+    (("states", "{bug}"), _TABLE),
+    (("states", "{bug}", "--out", "{matrix}"), _TABLE),
+    (("states", "{bug}", "--format", "json"), _TABLE),
+    (("count", "--na", "3", "--nb", "3", "--nn", "8"), {"ohg.gadgets", "ohg.model"}),
+    (("count", "--na", "3", "--nb", "3", "--nn", "8", "--format", "json"),
+     {"ohg.gadgets", "ohg.model"}),
+    (("gadget", "bug"), _FILE | {"ohg.gadgets"}),
+    (("gadget", "k3"), _FILE | {"ohg.gadgets"}),
+    (("gadget", "bug", "--travis"), _TABLE | {"ohg.gadgets"}),
+    (("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
+     _TABLE | _CORE | {"ohg.gadgets"}),
+    (("export", "{bug}", "--format", "dot"), _FILE | {"ohg.commands._dot"}),
+    (("export", "{bug}", "--format", "json"), _FILE),
+    (("classify", "{bug}"), _TABLE | _CORE | {"ohg.coloring"}),
+    (("reconstruct", "{bug}"), _TABLE | _CORE | {"ohg.reconstruction"}),
+    (("color", "{bug}", "--n", "3"), _TABLE | _CORE | {"ohg.coloring"}),
+    (("color", "{bug}", "--n", "3", "--algorithm", "paper"), _TABLE | _CORE | {"ohg.coloring"}),
+    (("color", "{bug}", "--n", "3", "--algorithm", "relaxed"),
+     _TABLE | _CORE | {"ohg.coloring"}),
+    (("color", "{bug}", "--n", "3", "--algorithm", "exact"), _CORE | {"ohg.coloring"}),
+    (("chroma", "{bug}"), _CORE | {"ohg.coloring"}),
+    (("chroma", "{bug}", "--brooks"), _CORE | {"ohg.coloring"}),
+    (("chroma", "{bug}", "--format", "json"), _CORE | {"ohg.coloring"}),
+    (("verify-for", "{pentagon}", "{pentagon_vec}"), _FILE | {"ohg.geometry"}),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_commands_load_exactly_these_modules(paths, args, loads):
+    before, after, code = probe(*(a.format(**paths) for a in args), watched=(),
+                                package=True)
+    assert code == 0
+    assert before == {"ohg.cli", "ohg.errors"}
+    assert after == _ENTRY | {"ohg.commands." + args[0].replace("-", "_")} | loads
+
+
+# Counting, listing, parsing and export need the model, not core's graph
+# algorithms; only ``bind`` among the gadget code asks core for the shape.
+@pytest.mark.parametrize("args", [
+    ("states", "{bug}", "--count-only"),
+    ("states", "{bug}", "--count-only", "--format", "json"),
+    ("states", "{bug}"),
+    ("states", "{bug}", "--out", "{matrix}"),
+    ("states", "{bug}", "--format", "json"),
+    ("export", "{bug}", "--format", "dot"),
+    ("export", "{bug}", "--format", "json"),
+    ("gadget", "bug"),
+    ("gadget", "bug", "--travis"),
+    ("verify-for", "{pentagon}", "{pentagon_vec}"),
+], ids=" ".join)
+def test_commands_load_the_model_without_core(paths, args):
+    _, after, code = probe(*(a.format(**paths) for a in args),
+                           watched=("ohg.model", "ohg.core"))
+    assert code == 0
+    assert after == {"ohg.model"}
