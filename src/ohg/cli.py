@@ -9,8 +9,8 @@ applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
 
-This module holds the entry point, the parser and the helpers every
-subcommand shares. Each subcommand lives in its own module,
+This module holds the entry point and the parser; :mod:`ohg.commands` holds
+the helpers the subcommands share. Each subcommand lives in its own module,
 ``ohg.commands.<name>`` (``verify_for`` for ``verify-for``), with
 ``add_arguments(parser)`` and ``run(args)``, so that a command loads and
 compiles only its own arguments and handler. The parser gets the arguments of
@@ -27,28 +27,12 @@ import argparse
 import importlib
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import OhgError
 
-
-def _read(path: str) -> str:
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError as exc:
-        raise OhgError(f"cannot read {path}: {exc}") from None
-
-
-def _load_hypergraph(path: str) -> model.Hypergraph:
-    from .formats import parse_ohg
-
-    return parse_ohg(_read(path))
-
-
-def _emit_json(payload: dict) -> None:
-    import json
-
-    print(json.dumps(payload, indent=2))
+if TYPE_CHECKING:
+    from typing import Optional
 
 
 # Each subcommand with its one-line help, in the order ``ohg --help`` lists them

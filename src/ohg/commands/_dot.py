@@ -3,6 +3,13 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from typing import Optional
+
+    from ..model import Hypergraph
+
 _DOT_PALETTE = (
     "red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta",
     "olive", "teal", "gold", "gray", "pink", "navy", "limegreen", "salmon",

@@ -1,6 +1,6 @@
 """``ohg chroma``: chromatic number or Brooks bound."""
 
-from ..cli import _emit_json, _load_hypergraph
+from . import _emit_json, _load_hypergraph
 
 
 def add_arguments(p) -> None:

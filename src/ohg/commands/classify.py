@@ -1,7 +1,12 @@
 """``ohg classify``: unital, separable and perfectly-separable verdicts."""
 
-from ..cli import _emit_json, _load_hypergraph
+from typing import TYPE_CHECKING
+
+from . import _emit_json, _load_hypergraph
 from ..errors import SizeLimitError
+
+if TYPE_CHECKING:
+    from typing import Optional
 
 
 def add_arguments(p) -> None:

@@ -1,9 +1,15 @@
 """``ohg color``: search for a proper coloring."""
 
 import sys
+from typing import TYPE_CHECKING
 
-from ..cli import _emit_json, _load_hypergraph
+from . import _emit_json, _load_hypergraph
 from ..errors import OhgError
+
+if TYPE_CHECKING:
+    from typing import Optional
+
+    from .. import coloring
 
 
 def add_arguments(p) -> None:
@@ -39,7 +45,13 @@ def run(args) -> int:
         if chi <= n:
             col = best
     if col is None:
-        print(f"no {n}-coloring from two-valued states")
+        message = f"no {n}-coloring from two-valued states"
+        if args.format == "json":
+            _emit_json({"vertices": list(h.vertices), "coloring": None})
+        elif args.format == "dot":
+            print(message, file=sys.stderr)
+        else:
+            print(message)
         return 1
     if args.format == "json":
         payload = {

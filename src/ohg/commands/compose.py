@@ -2,7 +2,7 @@
 
 import sys
 
-from ..cli import _emit_json, _load_hypergraph
+from . import _emit_json, _load_hypergraph
 
 
 def add_arguments(p) -> None:

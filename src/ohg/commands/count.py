@@ -1,6 +1,6 @@
 """``ohg count``: predicted state count of a binding."""
 
-from ..cli import _emit_json
+from . import _emit_json
 from ..errors import OhgError
 
 

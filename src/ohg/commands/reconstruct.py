@@ -1,6 +1,6 @@
 """``ohg reconstruct``: rebuild the hypergraph from its states."""
 
-from ..cli import _emit_json, _load_hypergraph
+from . import _emit_json, _load_hypergraph
 
 
 def add_arguments(p) -> None:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import sys
+from typing import TYPE_CHECKING
 
-from ..cli import _emit_json, _load_hypergraph
+from . import _emit_json, _load_hypergraph
 from ..errors import OhgError
+
+if TYPE_CHECKING:
+    from typing import Iterator
+
+    from .. import states
 
 
 def add_arguments(p) -> None:
@@ -48,9 +54,15 @@ def _json_with_rows(payload: dict, t: states.TravisMatrix) -> Iterator[str]:
 def run(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise OhgError(f"the row limit must not be negative, got --limit {args.limit}")
-    # --out takes the text matrix, which a count or JSON would not write
+    # refuse a flag that the other flags would leave unused: --out takes the
+    # text matrix, which a count or JSON would not write; --limit bounds the
+    # table, which a count does not build; --progress reports on a count
     if args.out and args.count_only:
         raise OhgError("--count-only and --out cannot be combined")
+    if args.limit is not None and args.count_only:
+        raise OhgError("--count-only and --limit cannot be combined")
+    if args.progress and not args.count_only:
+        raise OhgError("--progress needs --count-only")
     if args.out and args.format == "json":
         raise OhgError("--out and --format json cannot be combined")
     h = _load_hypergraph(args.file)

@@ -1,6 +1,6 @@
 """``ohg verify-for``: check a vector labeling."""
 
-from ..cli import _emit_json, _load_hypergraph, _read
+from . import _emit_json, _load_hypergraph, _read
 
 
 def add_arguments(p) -> None:

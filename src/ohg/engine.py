@@ -11,15 +11,15 @@ of #SAT model counters), so a component met again in another branch costs one
 lookup. That counts the 378-vertex binding (about 5.9e23 states) in a fraction
 of a second.
 
-The search runs once and returns its trace (:meth:`_Problem.compile`), a
+The search runs once and returns its trace (:meth:`_Problem.trace`), a
 decision-DNNF in the sense of Huang and Darwiche ("The language of search",
-JAIR 2007): nodes that force vertices true, over independent parts, each a
-choice between the branches of one context. Every question is then a pass
-over the trace. This module holds the counting pass (:func:`count`, which also
-counts the states false on a set of vertices) and :func:`count_states`;
-:mod:`ohg.states` adds the passes for co-truth counts and for the rows
-themselves. ``ohg states --count-only`` loads this module alone, not the
-table code.
+JAIR 2007), as one list of parts, each a choice between nodes that set
+vertices true over independent parts earlier in the list, with the root last.
+Every question is a loop over that list. This module holds the counting pass
+(:func:`part_counts`, also of the states false on a set of vertices) and
+:func:`count_states`; :mod:`ohg.states` adds the passes for co-truth counts
+and for the rows themselves. ``ohg states --count-only`` loads this module
+alone, not the table code.
 
 The engine works on :mod:`ohg.model`'s masks, bit ``i`` = vertex ``i``, taken
 from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.
@@ -27,6 +27,7 @@ from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .model import Hypergraph, _bits
@@ -102,101 +103,94 @@ class _Problem:
         return [(bits, und, sorted(group))
                 for und, bits, group in sorted(comps, key=lambda c: min(c[2]))]
 
-    def compile(
-        self,
-        memo: dict,
-        ones: int = 0,
-        fresh: int = 0,
-        zeros: int = 0,
-        active: Optional[Sequence[int]] = None,
-        progress: Optional[Callable] = None,
-    ) -> Optional[tuple]:
-        """The trace of the search over the states extending ``ones | fresh``
-        and ``zeros`` on ``active``, or ``None`` when there is none.
+    def trace(self, progress: Optional[Callable] = None) -> list[tuple]:
+        """The trace of the search: its parts, each after every part below
+        it, and last the root's one-node part, empty when there is no state.
 
-        A node is ``(forced, parts)``: ``forced`` holds the vertices set true
-        at the node (``fresh`` and every vertex propagation forces here), and
-        each part, one residual component, is the tuple of the nodes for the
-        branches of its branching context. A state picks one node of every
-        part below the nodes it picks, and is true exactly on the vertices
-        those nodes force. ``memo`` maps each component to its part; one dict
-        serves one hypergraph and every branch of the search, so a component
-        met again is shared, not searched again. With ``progress`` the node is
-        branched as a whole, and each branch (a node or ``None``) is reported
-        as it is found.
+        A part, one residual component, holds a node ``(forced, subs)`` for
+        each branch of its branching context: ``forced`` holds the vertices set
+        true there, ``subs`` the positions of the parts of the components
+        left below. A state picks one node of every part below the nodes it
+        picks and is true exactly on the vertices they force. The memo maps
+        each component to its position, so a component met again is shared.
+        With ``progress`` the root is branched as a whole, and
+        ``progress(parts, branch)`` reports each branch (a node or ``None``).
         """
-        if active is None:
-            active = range(len(self.ctx_masks))
-        res = self.propagate(ones | fresh, zeros, active)
-        if res is None:
-            return None
-        now, zeros, active = res
-        forced = now & ~ones
-        if not active:
-            return forced, ()
-        if progress:
-            whole = self._branch(memo, now, zeros, active, progress)
-            return (forced, (whole,)) if whole else None
-        parts = []
-        for group_bits, und, group in self.components(zeros, active):
-            # A group's part depends only on which of its vertices are still
-            # undetermined: none of them is true (its contexts are
-            # unresolved), and no undetermined vertex has a true neighbour,
-            # because setting a vertex true zeroes all its neighbours. So
-            # ``ones`` is left out of the key. For a fixed group, ``und`` is
-            # the union of its context masks minus ``zeros``, so it carries
-            # the same information as ``zeros`` restricted to that union.
-            key = (group_bits, und)
-            part = memo.get(key)
-            if part is None:
-                part = memo[key] = self._branch(memo, now, zeros, group)
-            if not part:
+        masks, nbr = self.ctx_masks, self.nbr
+        parts: list[tuple] = []
+        memo: dict[tuple[int, int], int] = {}
+
+        def node(ones: int, fresh: int, zeros: int, active: Sequence[int],
+                 report: Optional[Callable] = None) -> Optional[tuple]:
+            res = self.propagate(ones | fresh, zeros, active)
+            if res is None:
                 return None
-            parts.append(part)
-        return forced, tuple(parts)
+            now, zeros, active = res
+            forced = now & ~ones
+            if report and active:
+                parts.append(branch(now, zeros, active, report))
+                return (forced, (len(parts) - 1,)) if parts[-1] else None
+            subs = []
+            for group_bits, und, group in self.components(zeros, active):
+                # The part depends only on which of the group's vertices are
+                # undetermined: none is true (its contexts are unresolved) or
+                # has a true neighbour (a true vertex zeroes them all), so
+                # ``ones`` stays out of the key; ``und`` is the union of the
+                # group's context masks minus ``zeros``.
+                key = (group_bits, und)
+                at = memo.get(key)
+                if at is None:
+                    part = branch(now, zeros, group)
+                    at = memo[key] = len(parts)
+                    parts.append(part)
+                if not parts[at]:
+                    return None
+                subs.append(at)
+            return forced, tuple(subs)
 
-    def _branch(
-        self,
-        memo: dict,
-        ones: int,
-        zeros: int,
-        active: Sequence[int],
-        progress: Optional[Callable] = None,
-    ) -> tuple:
-        """The nodes of each way to make one undetermined vertex of the
-        branching context true."""
-        ci = self.branch_context(zeros, active)
-        branches = []
-        for v in _bits(self.ctx_masks[ci] & ~zeros):
-            # no conflict test: an undetermined vertex never has a true neighbour
-            node = self.compile(memo, ones, 1 << v, zeros | self.nbr[v], active)
-            if node is not None:
-                branches.append(node)
-            if progress:
-                progress(node)
-        return tuple(branches)
+        def branch(ones: int, zeros: int, active: Sequence[int],
+                   report: Optional[Callable] = None) -> tuple:
+            """The nodes of each way to make one undetermined vertex of the
+            branching context true."""
+            branches = []
+            for v in _bits(masks[self.branch_context(zeros, active)] & ~zeros):
+                # no conflict test: an undetermined vertex never has a true neighbour
+                b = node(ones, 1 << v, zeros | nbr[v], active)
+                if b is not None:
+                    branches.append(b)
+                if report:
+                    report(parts, b)
+            return tuple(branches)
+
+        root = node(0, 0, 0, range(len(masks)), progress)
+        parts.append((root,) if root else ())
+        return parts
 
 
-def count(node: Optional[tuple], zeros: int = 0) -> int:
-    """Number of states below the trace ``node`` that are false on every
-    vertex of ``zeros``: a node forcing one of them counts 0, any other the
-    product over its parts of the sum over their nodes. Each part is
-    counted once, however many nodes share it."""
-    sums: dict[int, int] = {}
+def part_counts(trace: list[tuple], zeros: int = 0,
+                counts: Optional[list[int]] = None) -> list[int]:
+    """Per part of ``trace``, the number of states below it that are false
+    on every vertex of ``zeros``: 0 for a node forcing one of them, else the
+    product of its parts' counts, summed over the part's nodes. ``counts``
+    holds the counts of a prefix of the parts, and is extended in place."""
+    if counts is None:
+        counts = []
+    for part in trace[len(counts):]:
+        total = 0
+        for forced, subs in part:
+            if not forced & zeros:
+                n = 1
+                for q in subs:
+                    n *= counts[q]
+                total += n
+        counts.append(total)
+    return counts
 
-    def up(node: tuple) -> int:
-        forced, parts = node
-        if forced & zeros:
-            return 0
-        n = 1
-        for part in parts:
-            s = sums.get(id(part))
-            if s is None:
-                s = sums[id(part)] = sum(map(up, part))
-            n *= s
-        return n
 
-    return up(node) if node else 0
+def count(trace: list[tuple], zeros: int = 0) -> int:
+    """Number of states of ``trace`` that are false on every vertex of
+    ``zeros``: the count of its root part."""
+    return part_counts(trace, zeros)[-1]
 
 
 def count_states(
@@ -211,10 +205,13 @@ def count_states(
     report = None
     if progress:
         total = 0
+        counts: list[int] = []
 
-        def report(branch: Optional[tuple]) -> None:
+        def report(parts: list[tuple], branch: Optional[tuple]) -> None:
             nonlocal total
-            total += count(branch)
+            if branch:
+                part_counts(parts, 0, counts)
+                total += prod(map(counts.__getitem__, branch[1]))
             progress(total)
 
-    return count(_Problem(h).compile({}, progress=report))
+    return count(_Problem(h).trace(report))

@@ -1,8 +1,8 @@
 """Two-valued state tables and the analyses over them.
 
-The search of :mod:`ohg.engine` returns its trace, and each answer here is
-a pass over it: plain counts (:func:`count_states`, defined in
-the engine and the same function here), per-vertex true counts and pairwise
+The search of :mod:`ohg.engine` returns its trace, one list of parts with
+the root last, and each answer here is a loop over it: plain counts
+(:func:`count_states`, the engine's), per-vertex true counts and pairwise
 co-truth counts (:func:`cotruth`), or the rows themselves
 (:func:`enumerate_states`). The pairwise analyses (classification, gadget
 scans and profiles, reconstruction by the adjacency criterion) need nothing
@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .engine import _Problem, count, count_states  # noqa: F401 (re-exported)
+from .engine import _Problem, count, count_states, part_counts  # noqa: F401 (re-exported)
 from .errors import (
     ColumnCountMismatchError,
     NotAGadgetPairError,
@@ -306,81 +306,54 @@ def _mirror(mask: int, k: int) -> int:
     return int(format(mask, f"0{k}b")[::-1], 2)
 
 
-def _rows(node: Optional[tuple], k: int, zeros: int = 0, now: int = 0) -> list[int]:
-    """The states below the trace ``node`` that are false on ``zeros``, as
-    rows in reading order (see the module docstring), unsorted.
+def _rows(trace: list[tuple], k: int, zeros: int = 0) -> list[int]:
+    """The states of ``trace`` that are false on ``zeros``, as rows in
+    reading order (see the module docstring), unsorted. Parts are walked
+    from the root down with ``now``, the vertices the nodes above set true:
+    a leaf's state is ``now`` with its own forced vertices, and a node with
+    parts ORs one row of each part in every combination."""
+    def below(p: int, now: int) -> list[int]:
+        rows: list[int] = []
+        for forced, subs in trace[p]:
+            if forced & zeros:
+                continue
+            at = now | forced
+            if not subs:
+                rows.append(_mirror(at, k))
+                continue
+            node_rows = below(subs[0], at)
+            for q in subs[1:]:
+                part_rows = below(q, at)
+                node_rows = [a | b for a in node_rows for b in part_rows]
+            if rows:
+                rows += node_rows
+            else:
+                rows = node_rows
+        return rows
 
-    ``now`` holds the vertices the nodes above set true. A leaf's state is
-    ``now`` with its own forced vertices; a node with parts ORs one row of
-    each part in every combination, since each part's rows hold ``now``.
+    return below(len(trace) - 1, 0)
+
+
+def _true_counts(trace: list[tuple], nodes: list[list[tuple]], k: int,
+                 zeros: int) -> tuple[int, ...]:
+    """Per vertex, the number of states of ``trace`` false on ``zeros``
+    that make it true; ``nodes`` is ``trace`` with each node's forced
+    vertices, ``(forced, subs, vertices)``.
+
+    Below each part are :func:`part_counts` states; one pass down from the
+    root counts the ways to reach each part, the derivative of the count by
+    that part. The states through a node are the ways to reach its part
+    times the states below the node, and each makes its vertices true.
     """
-    if node is None:
-        return []
-    forced, parts = node
-    if forced & zeros:
-        return []
-    now |= forced
-    if not parts:
-        return [_mirror(now, k)]
-    rows = None
-    for part in parts:
-        part_rows: list[int] = []
-        for branch in part:
-            part_rows += _rows(branch, k, zeros, now)
-        rows = part_rows if rows is None else [a | b for a in rows for b in part_rows]
-    return rows
-
-
-def _order(root: tuple) -> list[list[tuple]]:
-    """The parts of the trace below ``root``, each before the parts below
-    it, starting with the one-node part ``(root,)``. A node appears as
-    ``(forced, forced vertices, positions of its parts in the list)``."""
-    post: list[tuple] = []
-    at: dict[int, int] = {}
-
-    def visit(part: tuple) -> None:
-        for _, parts in part:
-            for sub in parts:
-                if id(sub) not in at:
-                    visit(sub)
-        at[id(part)] = len(post)
-        post.append(part)
-
-    visit((root,))
-    last = len(post) - 1
-    return [[(forced, tuple(_bits(forced)), tuple(last - at[id(sub)] for sub in parts))
-             for forced, parts in part]
-            for part in reversed(post)]
-
-
-def _true_counts(order: list[list[tuple]], k: int, zeros: int) -> tuple[int, ...]:
-    """Per vertex, the number of states false on ``zeros`` that make it
-    true, from the parts of a trace in :func:`_order`.
-
-    One pass up counts the states below each part; one pass down counts
-    the ways to reach each part from the root, the derivative of the count
-    by that part. The states through a node are the ways to reach its part
-    times the states below the node, and each of them makes the node's
-    forced vertices true.
-    """
-    sums = [0] * len(order)
-    for p in range(len(order) - 1, -1, -1):
-        total = 0
-        for forced, _, subs in order[p]:
-            if not forced & zeros:
-                n = 1
-                for q in subs:
-                    n *= sums[q]
-                total += n
-        sums[p] = total
+    sums = part_counts(trace, zeros)
     counts = [0] * k
-    ways = [0] * len(order)
-    ways[0] = 1
-    for p, part in enumerate(order):
+    ways = [0] * len(trace)
+    ways[-1] = 1
+    for p in range(len(trace) - 1, -1, -1):
         reach = ways[p]
         if not reach:
             continue
-        for forced, bits, subs in part:
+        for forced, subs, vs in nodes[p]:
             if forced & zeros:
                 continue
             n = 1
@@ -389,7 +362,7 @@ def _true_counts(order: list[list[tuple]], k: int, zeros: int) -> tuple[int, ...
             if not n:
                 continue
             through = reach * n
-            for v in bits:
+            for v in vs:
                 counts[v] += through
             for q in subs:
                 # n // sums[q]: the states of the node's other parts
@@ -423,10 +396,10 @@ class CanonicalRows:
 
     def __init__(self, h: Hypergraph):
         self._nbr = h.neighbor_masks
-        self._root = _Problem(h).compile({})
+        self._trace = _Problem(h).trace()
         self._k = len(h.vertices)
         #: the number of states, the table's row count
-        self.nts = count(self._root)
+        self.nts = count(self._trace)
 
     def count(self, ones: int = 0, zeros: int = 0) -> int:
         """Number of states true on the vertices of ``ones`` and false on
@@ -434,7 +407,8 @@ class CanonicalRows:
         = vertex ``i``)."""
         for v in _bits(ones):
             zeros |= self._nbr[v]
-        return count(self._root, zeros)
+        # a vertex both true and false, or two adjacent true ones: no state
+        return 0 if ones & zeros else count(self._trace, zeros)
 
     def first(self) -> int:
         """Row 1, the largest state: column by column, 1 wherever some state
@@ -465,7 +439,7 @@ class CanonicalRows:
     def disjoint(self, row: int) -> list[int]:
         """The states false on every vertex ``row`` makes true, in canonical
         order."""
-        rows = _rows(self._root, self._k, _mirror(row, self._k))
+        rows = _rows(self._trace, self._k, _mirror(row, self._k))
         rows.sort(reverse=True)
         return rows
 
@@ -480,9 +454,9 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     any row is built. Use :func:`count_states` when only the number is needed
     and :func:`cotruth` when only the pairwise counts are.
     """
-    root = _Problem(h).compile({})
-    check_row_budget(count(root), row_limit=row_limit)
-    rows = _rows(root, len(h.vertices))
+    trace = _Problem(h).trace()
+    check_row_budget(count(trace), row_limit=row_limit)
+    rows = _rows(trace, len(h.vertices))
     rows.sort(reverse=True)
     return TravisMatrix(h.vertices, tuple(rows))
 
@@ -498,12 +472,11 @@ def cotruth(h: Hypergraph) -> CoTruth:
     ``enumerate_states(h).cooc`` entry for entry.
     """
     k = len(h.vertices)
-    root = _Problem(h).compile({})
-    if root is None:
-        return CoTruth(h.vertices, 0, ((0,) * k,) * k)
-    order = _order(root)
-    return CoTruth(h.vertices, count(root),
-                   tuple(_true_counts(order, k, nbr) for nbr in h.neighbor_masks))
+    trace = _Problem(h).trace()
+    nodes = [[(forced, subs, tuple(_bits(forced))) for forced, subs in part]
+             for part in trace]
+    return CoTruth(h.vertices, count(trace),
+                   tuple(_true_counts(trace, nodes, k, nbr) for nbr in h.neighbor_masks))
 
 
 def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:

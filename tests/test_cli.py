@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ohg import engine, gadgets, states
+from ohg import engine, formats, gadgets, states
 from ohg.cli import _COMMANDS, _build_parser, main
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
@@ -179,6 +179,21 @@ class TestStates:
         assert code == 0 and out == "14\n"
         assert "states so far:" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--progress",), "--progress needs --count-only"),
+        (("--count-only", "--limit", "3"), "--count-only and --limit cannot be combined"),
+    ], ids=["progress", "count-only-limit"])
+    def test_refuses_flags_it_would_ignore(self, capsys, bug_file, monkeypatch,
+                                           argv, message):
+        # refused before the file is read: a progress report is made only
+        # by a count, and a count builds no table for --limit to bound
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the file despite a usage error")
+        monkeypatch.setattr(formats, "parse_ohg", refuse)
+        code, out, err = run(capsys, "states", bug_file, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestClassify:
     def test_text(self, capsys, bug_file):
@@ -274,6 +289,19 @@ class TestColor:
                            "--algorithm", "paper")
         assert code == 1
         assert out == "no 3-coloring from two-valued states\n"
+
+    def test_g32_paper_absent_json(self, capsys, g32_file):
+        code, out, err = run(capsys, "color", g32_file, "--n", "3",
+                             "--format", "json")
+        assert code == 1 and err == ""
+        g32 = gadgets.fixture("g32").hypergraph
+        assert json.loads(out) == {"vertices": list(g32.vertices), "coloring": None}
+
+    def test_g32_paper_absent_dot(self, capsys, g32_file):
+        code, out, err = run(capsys, "color", g32_file, "--n", "3",
+                             "--format", "dot")
+        assert code == 1 and out == ""
+        assert err == "no 3-coloring from two-valued states\n"
 
     def test_g32_relaxed_four(self, capsys, g32_file):
         code, out, _ = run(capsys, "color", g32_file, "--n", "4",

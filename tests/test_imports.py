@@ -13,9 +13,12 @@ the commands that need only the hypergraph model, ``ohg.model``, do not load
 core's graph algorithms.
 """
 
+import ast
+import builtins
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +300,80 @@ def test_commands_load_the_model_without_core(paths, args):
                            watched=("ohg.model", "ohg.core"))
     assert code == 0
     assert after == {"ohg.model"}
+
+
+def test_python_m_cli_imports_cli_once(tmp_path):
+    # ``python -m ohg.cli`` runs the module as ``__main__``; a subcommand
+    # that imported ``ohg.cli`` would load it a second time. The log lists
+    # what an import statement names, such as the file parser the shared
+    # helpers import, and not what ``from <package> import`` loads.
+    path = tmp_path / "k3.ohg"
+    path.write_text(write_ohg(gadgets.fixture("k3").hypergraph))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ohg.cli", "states", str(path),
+         "--count-only"],
+        capture_output=True, text=True, timeout=60, **child_options(),
+    )
+    assert result.returncode == 0 and result.stdout == "3\n", result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ohg.formats" in imported
+    assert "ohg.cli" not in imported
+
+
+def _module_names(body: list) -> set[str]:
+    """The names a module's top level binds, in ``if`` and ``try`` blocks
+    too: imports, ``def``, ``class`` and assignment targets."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        for block in ("body", "orelse", "finalbody"):
+            if isinstance(node, (ast.If, ast.Try)):
+                names |= _module_names(getattr(node, block, []))
+        for handler in getattr(node, "handlers", []):
+            names |= _module_names(handler.body)
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(annotation: ast.expr):
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _used_names(ast.parse(node.value, mode="eval").body)
+
+
+def test_annotation_names_are_bound_at_module_level():
+    # what ``typing.get_type_hints`` needs, and what pyflakes checks: every
+    # name in an annotation is imported (under TYPE_CHECKING too), defined,
+    # assigned at the top of its module, or a builtin
+    root = Path(ohg.__file__).parent
+    unbound = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = _module_names(tree.body) | set(dir(builtins))
+        for annotation in _annotations(tree):
+            unbound += [f"{path.relative_to(root)}:{annotation.lineno}: {name}"
+                        for name in _used_names(annotation) if name not in bound]
+    assert unbound == []

@@ -154,10 +154,20 @@ def _pastings(rng: random.Random, n: int):
         yield h
 
 
+def _check_trace(order: states.CanonicalRows) -> None:
+    """The trace is one list of parts, each after the parts below it, and
+    the root's one-node part last, empty exactly when there is no state."""
+    trace = order._trace
+    for p, part in enumerate(trace):
+        assert all(q < p for _, subs in part for q in subs)
+    assert len(trace[-1]) == (1 if order.nts else 0)
+
+
 def _check_canonical(h: core.Hypergraph) -> None:
     t = states.enumerate_states(h)
     order = states.CanonicalRows(h)
     assert order.nts == t.n_rows
+    _check_trace(order)
     if not t.n_rows:
         return
     assert order.first() == t.rows[0]
@@ -185,6 +195,7 @@ class TestCanonicalRows:
     def test_contradictory(self):
         order = states.CanonicalRows(core.build(CONTRADICTORY))
         assert order.nts == 0 and order.count(1, 0) == 0
+        _check_trace(order)
 
     def test_counts_match_table(self, bug):
         # true on one random set of vertices and false on another, adjacent
@@ -213,6 +224,7 @@ class TestCanonicalRows:
         t = bind_bug_matrix
         order = states.CanonicalRows(bind_bug)
         assert order.nts == t.n_rows
+        _check_trace(order)
         assert order.first() == t.rows[0]
         rng = random.Random(3)
         picks = {0, 1, 1231087, 2234303, t.n_rows - 1,
