@@ -13,33 +13,31 @@ import importlib
 # command loads only the modules it runs.
 _EXPORTS = {
     "model": "Hypergraph build",
-    "core": ("FourCycle Graph ShapeReport four_cycle_lint is_isomorphic "
-             "maximal_cliques shape two_section"),
+    "core": "FourCycle Graph four_cycle_lint is_isomorphic maximal_cliques two_section",
+    "cliques": "ShapeReport shape",
     "errors": "OhgError",
     "engine": "count_states",
-    "states": ("CoTruth GadgetProfile GadgetScan StateClassification TravisMatrix "
-               "TwoValuedState classify cotruth enumerate_states "
-               "gadget_profile gadget_scan"),
+    "pairwise": "CoTruth StateClassification classify cotruth",
+    "implications": "GadgetProfile GadgetScan gadget_profile gadget_scan",
+    "states": "TravisMatrix TwoValuedState enumerate_states",
     "reconstruction": ("ReconstructionResult Verdict adjacency_from_states "
                        "evaluate_reconstruction reconstruct travis_equivalent verdict"),
-    "coloring": ("Coloring PartitionSystem RowSelection algorithm1 brooks_bound "
-                 "color_to_state coloring_from_partition exact_chromatic "
-                 "exact_coloring partition_from_coloring partition_from_rows "
-                 "relaxed_coloring verify_rows"),
-    "gadgets": ("BindSpec Fixture FIXTURE_NAMES bind build_fig4 fixture layer "
-                "predicted_bind_count"),
+    "chromatic": "Coloring brooks_bound exact_chromatic exact_coloring",
+    "coloring": ("PartitionSystem RowSelection algorithm1 color_to_state "
+                 "coloring_from_partition partition_from_coloring "
+                 "partition_from_rows relaxed_coloring verify_rows"),
+    "bindcount": "predicted_bind_count",
+    "catalogue": "Fixture FIXTURE_NAMES fixture",
+    "gadgets": "BindSpec bind build_fig4 layer",
     "geometry": "ForReport VectorLabeling verify_for",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
-# public names that differ from the name in their submodule
-_SOURCE_NAME = {"evaluate_reconstruction": "evaluate"}
 _SUBMODULES = {*_EXPORTS, "cli", "formats"}
 
 
 def __getattr__(name: str):
     if name in _MODULE_OF:
-        module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
-        value = getattr(module, _SOURCE_NAME.get(name, name))
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     elif name in _SUBMODULES:
         value = importlib.import_module(f".{name}", __name__)
     else:

@@ -21,7 +21,7 @@ def _read(path: str) -> str:
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
-    from ..formats import parse_ohg
+    from ..model import parse_ohg
 
     return parse_ohg(_read(path))
 

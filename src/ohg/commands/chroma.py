@@ -12,14 +12,14 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import coloring
+    from .. import chromatic
 
     h = _load_hypergraph(args.file)
     if args.brooks:
-        value = coloring.brooks_bound(h)
+        value = chromatic.brooks_bound(h)
         key = "brooksBound"
     else:
-        value = coloring.exact_chromatic(h)
+        value = chromatic.exact_chromatic(h)
         key = "chromatic"
     if args.format == "json":
         _emit_json({"vertices": list(h.vertices), key: value})

@@ -15,14 +15,14 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import coloring, core, states
+    from .. import chromatic, cliques, pairwise
 
     h = _load_hypergraph(args.file)
-    c = states.classify(h, states.cotruth(h))
-    rep = core.shape(h)
+    c = pairwise.classify(h, pairwise.cotruth(h))
+    rep = cliques.shape(h)
     semi: Optional[bool]
     try:
-        semi = coloring.exact_chromatic(h) == rep.clique_number
+        semi = chromatic.exact_chromatic(h) == rep.clique_number
     except SizeLimitError:
         semi = None
     if args.format == "json":

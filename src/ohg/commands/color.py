@@ -9,7 +9,7 @@ from ..errors import OhgError
 if TYPE_CHECKING:
     from typing import Optional
 
-    from .. import coloring
+    from ..chromatic import Coloring
 
 
 def add_arguments(p) -> None:
@@ -21,27 +21,29 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import coloring
-
     h = _load_hypergraph(args.file)
     n = args.n
     if n < 1:
         raise OhgError("the number of colors must be positive")
     rows_out: Optional[list[int]] = None
-    col: Optional[coloring.Coloring] = None
+    col: Optional[Coloring] = None
     if args.algorithm == "paper":
+        from .. import coloring
+
         found = coloring.paper_coloring(h, n)
         if found is not None:
             selection, partition = found
             rows_out = list(selection.rows)
             col = coloring.coloring_from_partition(partition)
     elif args.algorithm == "relaxed":
-        from .. import states
+        from .. import coloring, states
 
         t = states.enumerate_states(h)
         col = coloring.relaxed_coloring(t, h, n)
     else:
-        chi, best = coloring.exact_coloring(h)
+        from .. import chromatic
+
+        chi, best = chromatic.exact_coloring(h)
         if chi <= n:
             col = best
     if col is None:

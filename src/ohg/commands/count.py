@@ -12,10 +12,10 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import gadgets
+    from ..bindcount import predicted_bind_count
 
     try:
-        value = gadgets.predicted_bind_count(args.na, args.nb, args.nn)
+        value = predicted_bind_count(args.na, args.nb, args.nn)
     except ValueError as exc:
         raise OhgError(str(exc)) from None
     if args.format == "json":

@@ -6,7 +6,7 @@ from ..errors import OhgError
 
 
 def add_arguments(p) -> None:
-    from ..gadgets import FIXTURE_NAMES
+    from ..catalogue import FIXTURE_NAMES
 
     p.add_argument("name", choices=FIXTURE_NAMES)
     p.add_argument("--travis", action="store_true",
@@ -14,19 +14,19 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import gadgets
+    from .. import catalogue
 
     if args.travis:
         from ..formats import matrix_chunks
 
-        travis = gadgets.fixture(args.name).travis
+        travis = catalogue.fixture(args.name).travis
         if travis is None:
             raise OhgError(f"fixture {args.name!r} has no reference state table")
         sys.stdout.writelines(matrix_chunks(travis))
         return 0
     from ..formats import write_ohg
 
-    h = gadgets.fixture_hypergraph(args.name)
+    h = catalogue.fixture_hypergraph(args.name)
     if h is None:
         raise OhgError(
             f"fixture {args.name!r} ships as a state table only; use --travis"

@@ -3,15 +3,9 @@
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING
 
 from . import _emit_json, _load_hypergraph
 from ..errors import OhgError
-
-if TYPE_CHECKING:
-    from typing import Iterator
-
-    from .. import states
 
 
 def add_arguments(p) -> None:
@@ -26,34 +20,11 @@ def add_arguments(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _json_with_rows(payload: dict, t: states.TravisMatrix) -> Iterator[str]:
-    """``_emit_json({**payload, "rows": [row digit strings]})`` in chunks."""
-    import json
-
-    from .. import states
-
-    text = json.dumps({**payload, "rows": []}, indent=2) + "\n"
-    if not t.n_rows:
-        yield text
-        return
-    yield text[:-len("[]\n}\n")] + "["
-    # each row printed with 8 leading zeros, overwritten by the separator
-    sep = b'",\n    "'
-    width = t.n_cols + len(sep)
-    for start in range(0, t.n_rows, states._WRITE_BLOCK):
-        rows = t.rows[start:start + states._WRITE_BLOCK]
-        out = bytearray(states._row_digits(rows, width).encode("ascii"))
-        for i, c in enumerate(sep):
-            out[i::width] = bytes([c]) * len(rows)
-        # a block opens with the tail of a separator: '\n    "' after the
-        # bracket, ',\n    "' after an earlier block
-        yield out[1 if start else 2:].decode("ascii") + '"'
-    yield "\n  ]\n}\n"
-
-
 def run(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise OhgError(f"the row limit must not be negative, got --limit {args.limit}")
+    if args.jobs < 1:
+        raise OhgError(f"the number of jobs must be positive, got --jobs {args.jobs}")
     # refuse a flag that the other flags would leave unused: --out takes the
     # text matrix, which a count or JSON would not write; --limit bounds the
     # table, which a count does not build; --progress reports on a count
@@ -81,9 +52,16 @@ def run(args) -> int:
             print(n)
         return 0
     from .. import states
-    from ..formats import matrix_chunks
 
     t = states.enumerate_states(h, row_limit=args.limit)
+    if args.format == "json":
+        from ._json_rows import json_with_rows
+
+        payload = {"vertices": list(h.vertices), "nTS": t.n_rows}
+        sys.stdout.writelines(json_with_rows(payload, t))
+        return 0
+    from ..formats import matrix_chunks
+
     if args.out:
         # opened only now, so that a refused table leaves no file behind
         try:
@@ -92,9 +70,6 @@ def run(args) -> int:
         except OSError as exc:
             raise OhgError(f"cannot write {args.out}: {exc}") from None
         print(t.n_rows)
-    elif args.format == "json":
-        payload = {"vertices": list(h.vertices), "nTS": t.n_rows}
-        sys.stdout.writelines(_json_with_rows(payload, t))
     else:
         sys.stdout.writelines(matrix_chunks(t))
     return 0

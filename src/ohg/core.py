@@ -1,16 +1,20 @@
 """Graph algorithms over hypergraphs: 2-section, cliques, structure checks,
 isomorphism. The data model they work on is :mod:`ohg.model`'s, re-exported
-here, so ``ohg.core.Hypergraph`` is ``ohg.model.Hypergraph``.
+here, so ``ohg.core.Hypergraph`` is ``ohg.model.Hypergraph``. The clique and
+component masks and the shape report live in :mod:`ohg.cliques` and are
+re-exported too, so that the commands that need only those (``classify``,
+``chroma``, ``color``, ``compose bind``) do not load the rest; of the
+commands, only ``reconstruct`` loads this module.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .model import (Hypergraph, _bits, _check_name, _eq, _fields,  # noqa: F401 (re-exported)
-                    _hash, _refuse_del, _refuse_set, _repr, build, record)
+from .cliques import ShapeReport, _clique_masks, _component_masks, shape  # noqa: F401 (re-exported)
+from .model import Hypergraph, _bits, build, record  # noqa: F401 (re-exported)
 
 
 @record
@@ -49,25 +53,12 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@record
-class ShapeReport:
-    """Structural summary of a hypergraph against the quantum-logic shape laws."""
-
-    clique_number: int
-    uniform: bool
-    conformal: bool
-    completion_ok: bool
-    max_degree: int
-
-
 class FourCycle(NamedTuple):
     """Four contexts forming a closed intertwine chain, with the four
     (pairwise distinct) intertwining vertices witnessing it."""
 
     contexts: tuple[int, int, int, int]
     vertices: tuple[str, str, str, str]
-
-
 
 
 def two_section(h: Hypergraph) -> Graph:
@@ -81,78 +72,11 @@ def two_section(h: Hypergraph) -> Graph:
     return Graph(h.vertices, frozenset(edges))
 
 
-def _clique_masks(nbr: Sequence[int]) -> list[int]:
-    """The inclusion-maximal cliques of the graph with neighbour masks
-    ``nbr``, as vertex masks.
-
-    Bron-Kerbosch with pivoting on bitmasks; instances here stay small
-    (the largest composed hypergraph has 378 vertices). The 2-section of a
-    hypergraph ``h`` is the graph of ``h.neighbor_masks``.
-    """
-    out: list[int] = []
-
-    def expand(clique: int, cand: int, excl: int) -> None:
-        if not cand and not excl:
-            out.append(clique)
-            return
-        best, best_deg = -1, -1
-        for v in _bits(cand | excl):
-            d = (cand & nbr[v]).bit_count()
-            if d > best_deg:
-                best, best_deg = v, d
-        for v in _bits(cand & ~nbr[best]):
-            low = 1 << v
-            expand(clique | low, cand & nbr[v], excl & nbr[v])
-            cand &= ~low
-            excl |= low
-    if nbr:
-        expand(0, (1 << len(nbr)) - 1, 0)
-    return out
-
-
-def _component_masks(nbr: Sequence[int]) -> list[int]:
-    """The connected components of the graph with neighbour masks ``nbr``,
-    as vertex masks, in the order of their lowest vertex."""
-    out = []
-    rest = (1 << len(nbr)) - 1
-    while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= nbr[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        out.append(seen)
-        rest &= ~seen
-    return out
-
-
 def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     """All inclusion-maximal cliques of ``g``, sorted for determinism."""
     cliques = [frozenset(g.vertices[v] for v in _bits(mask))
                for mask in _clique_masks(g.neighbor_masks)]
     return tuple(sorted(cliques, key=lambda c: sorted(c)))
-
-
-def shape(h: Hypergraph) -> ShapeReport:
-    """Check uniformity, conformality and the completion criterion.
-
-    ``clique_number`` is the clique number of the 2-section. ``completion_ok``
-    holds when no context is smaller than that number, i.e. every adjacency
-    sits inside a full-size context.
-    """
-    nbr = h.neighbor_masks
-    cliques = _clique_masks(nbr)
-    n = max(m.bit_count() for m in cliques)
-    sizes = {len(ctx) for ctx in h.contexts}
-    return ShapeReport(
-        clique_number=n,
-        uniform=sizes == {n},
-        conformal=set(cliques) == set(h.context_masks),
-        completion_ok=min(sizes) >= n,
-        max_degree=max(m.bit_count() for m in nbr),
-    )
 
 
 def _vertex_signature(h: Hypergraph) -> dict[str, tuple]:

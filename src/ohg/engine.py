@@ -17,9 +17,9 @@ JAIR 2007), as one list of parts, each a choice between nodes that set
 vertices true over independent parts earlier in the list, with the root last.
 Every question is a loop over that list. This module holds the counting pass
 (:func:`part_counts`, also of the states false on a set of vertices) and
-:func:`count_states`; :mod:`ohg.states` adds the passes for co-truth counts
-and for the rows themselves. ``ohg states --count-only`` loads this module
-alone, not the table code.
+:func:`count_states`; :mod:`ohg.pairwise` adds the passes for co-truth
+counts, and :mod:`ohg.states` those for the rows themselves. ``ohg states
+--count-only`` loads this module alone, not the table code.
 
 The engine works on :mod:`ohg.model`'s masks, bit ``i`` = vertex ``i``, taken
 from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.

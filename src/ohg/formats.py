@@ -6,6 +6,9 @@ whitespace; ``#`` starts a comment. A matrix file opens with a
 space-separated 0/1 digits per state. A vector file has one line per
 vertex: ``name: c1 c2 ... cn``.
 
+The hypergraph parser, :func:`parse_ohg`, is :mod:`ohg.model`'s, re-exported
+here: a command that only reads a hypergraph loads it without this module.
+
 Writers emit a canonical form (context members in vertex declaration order),
 so canonical files round-trip byte-identically modulo comments.
 
@@ -22,27 +25,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ParseError
-from .model import Hypergraph, build
+from .model import Hypergraph, _content_lines, parse_ohg  # noqa: F401 (re-exported)
 
 if TYPE_CHECKING:
     from .geometry import VectorLabeling
     from .states import TravisMatrix
-
-
-def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
-
-
-def parse_ohg(text: str) -> Hypergraph:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("hypergraph file contains no contexts")
-    return build([tuple(line.split()) for line in lines])
 
 
 def write_ohg(h: Hypergraph) -> str:

@@ -1,21 +1,25 @@
-"""Built-in fixtures and gadget compositions.
-
-The catalogue ships the worked examples as data files: hypergraphs in the
-text context format plus, where a reference state table exists, a matrix
-file transcribed verbatim (reference tables keep their printed row order, so
-row indices quoted against them match the printed matrices).
+"""Gadget compositions, and the built-in fixtures they start from.
 
 Compositions: :func:`layer` folds three copies of a true-implies-false gadget
 into a triangle with mutually non-adjacent corners; :func:`bind` stacks three
 layers and binds matching corners with three extra contexts, producing the
 hypergraph whose state table grows by :func:`predicted_bind_count`.
+
+The fixtures are :mod:`ohg.catalogue`'s and the closed form
+:func:`predicted_bind_count` is :mod:`ohg.bindcount`'s, both re-exported
+here, so that ``ohg gadget`` and ``ohg count`` load neither the compositions
+nor each other.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import TYPE_CHECKING, Optional
-
+from .bindcount import predicted_bind_count  # noqa: F401 (re-exported)
+from .catalogue import (  # noqa: F401 (re-exported)
+    FIXTURE_NAMES,
+    Fixture,
+    fixture,
+    fixture_hypergraph,
+)
 from .errors import (
     AdjacentTerminalsError,
     NotATifsPairError,
@@ -24,43 +28,6 @@ from .errors import (
     UnknownFixtureError,
 )
 from .model import Hypergraph, build, record
-
-if TYPE_CHECKING:
-    from .states import TravisMatrix
-
-FIXTURE_NAMES = (
-    "k3",
-    "triangle",
-    "pentagon",
-    "bug",
-    "g32",
-    "g32x",
-    "ghz",
-    "underlying",
-    "fig4",
-)
-
-_NOTES = {
-    "k3": "a single 3-element context",
-    "triangle": "three contexts pasted in a triangle; 4 states, 3-chromatic",
-    "pentagon": "house/pentagon logic: 5 contexts in a ring, 11 states",
-    "bug": "Specker bug: 13-vertex true-implies-false gadget with terminals v1, v7",
-    "g32": "G32 logic: 15 vertices, 10 contexts, 6 states, chromatic number 4",
-    "g32x": "G32 plus five extension contexts that leave the state set unchanged",
-    "ghz": "tight GHZ logic; reference state table only (8 states, 16 vertices)",
-    "underlying": "3x3 grid the binding corners inherit: rows and columns as contexts",
-    "fig4": "43-vertex true-implies-false gadget with distant terminals a1, a11",
-}
-
-
-@record
-class Fixture:
-    """A catalogued example: hypergraph and/or reference state table."""
-
-    name: str
-    hypergraph: Optional[Hypergraph]
-    travis: Optional[TravisMatrix]
-    notes: str
 
 
 @record
@@ -77,7 +44,8 @@ class BindSpec:
     tail: str
 
     def __post_init__(self) -> None:
-        from .states import cotruth, gadget_scan
+        from .implications import gadget_scan
+        from .pairwise import cotruth
 
         for v in (self.head, self.tail):
             if v not in self.gadget.index:
@@ -93,39 +61,6 @@ class BindSpec:
             raise NotATifsPairError(
                 f"({self.head!r}, {self.tail!r}) is not a true-implies-false pair"
             )
-
-
-def _read_fixture_file(filename: str) -> str:
-    from importlib import resources
-
-    return (resources.files("ohg") / "fixtures" / filename).read_text()
-
-
-@cache
-def fixture_hypergraph(name: str) -> Optional[Hypergraph]:
-    """The hypergraph of a catalogued fixture, read without its reference
-    state table; ``None`` for a fixture that ships as a table only."""
-    if name not in FIXTURE_NAMES:
-        raise UnknownFixtureError(
-            f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
-        )
-    if name == "ghz":
-        return None
-    from .formats import parse_ohg
-
-    return parse_ohg(_read_fixture_file(f"{name}.ohg"))
-
-
-@cache
-def fixture(name: str) -> Fixture:
-    """Look up a catalogued fixture by name (see :data:`FIXTURE_NAMES`)."""
-    hypergraph = fixture_hypergraph(name)
-    travis = None
-    if name in ("triangle", "pentagon", "bug", "g32", "underlying", "ghz"):
-        from .formats import parse_matrix
-
-        travis = parse_matrix(_read_fixture_file(f"{name}.mat"))
-    return Fixture(name, hypergraph, travis, _NOTES[name])
 
 
 def _splice(
@@ -182,9 +117,9 @@ def bind(spec: BindSpec) -> Hypergraph:
     Requires clique number 3 (the binding contexts are triples). Vertex count
     9|V|-9, context count 9|E|+3.
     """
-    from . import core
+    from .cliques import shape
 
-    if core.shape(spec.gadget).clique_number != 3:
+    if shape(spec.gadget).clique_number != 3:
         raise RankMismatchError("the binding construction needs clique number 3")
     contexts: list[tuple[str, ...]] = []
     for i, corners in enumerate(_BIND_CORNERS):
@@ -206,14 +141,6 @@ def bind_corners() -> tuple[tuple[str, str, str], ...]:
     exactly these as surplus contexts.
     """
     return _BIND_CORNERS
-
-
-def predicted_bind_count(n_a: int, n_b: int, n_n: int) -> int:
-    """Exact number of states of the binding composition, from the gadget's
-    (head true, tail true, both false) counts: 6 * n_a^3 * n_b^3 * n_n^3."""
-    if min(n_a, n_b, n_n) < 0:
-        raise ValueError("state counts must be nonnegative")
-    return 6 * n_a ** 3 * n_b ** 3 * n_n ** 3
 
 
 def _bug_contexts(head: str, tail: str, prefix: str) -> list[tuple[str, ...]]:

@@ -4,9 +4,12 @@ Vertices are opaque string tokens. All heavy computation runs on dense
 integer indices in declaration order, with vertex sets packed into Python
 int bitmasks (bit ``i`` = vertex ``i``). :func:`_bits` lists the members of
 such a mask; the package walks masks through it only. The package's value
-classes are frozen records made by :func:`record`. :mod:`ohg.core` holds
-the graph algorithms and re-exports these names; counting, parsing and export
-load this module without it.
+classes are frozen records made by :func:`record`. The hypergraph file
+parser, :func:`parse_ohg`, lives here too, so that a command that only reads
+a hypergraph loads neither the writers nor the other parsers of
+:mod:`ohg.formats`, which re-exports it. :mod:`ohg.core` holds the graph
+algorithms and re-exports these names; counting, parsing and export load
+this module without it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import (
     DuplicateContextError,
     EmptyContextError,
     InvalidVertexNameError,
+    ParseError,
     SubsetContextError,
 )
 
@@ -168,3 +172,19 @@ def build(raw_contexts: Sequence[Iterable[str]]) -> Hypergraph:
     if not contexts:
         raise EmptyContextError("a hypergraph needs at least one context")
     return Hypergraph(tuple(vertices), tuple(contexts))
+
+
+def _content_lines(text: str) -> list[str]:
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    return lines
+
+
+def parse_ohg(text: str) -> Hypergraph:
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("hypergraph file contains no contexts")
+    return build([tuple(line.split()) for line in lines])

@@ -9,12 +9,15 @@ hypergraphs and otherwise reveals surplus structure.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import core
 from .core import Graph, Hypergraph, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
-from .states import CoTruth, TravisMatrix, cotruth
+from .pairwise import CoTruth, cotruth
+
+if TYPE_CHECKING:
+    from .states import TravisMatrix
 
 _EQUIV_COLUMN_CAP = 32
 _EQUIV_NODE_BUDGET = 10 ** 6
@@ -116,7 +119,7 @@ def evaluate(
     is tested, which is sound but does not quantify over every
     table-equivalent hypergraph. Non-unital input propagates
     :class:`AllZeroColumnError`. Everything is decided from the co-truth
-    counts of :func:`~ohg.states.cotruth`, so no state table is built.
+    counts of :func:`~ohg.pairwise.cotruth`, so no state table is built.
     """
     t = cotruth(h)
     if t.n_rows == 0:
@@ -137,6 +140,10 @@ def evaluate(
     if core.is_isomorphic(h, rec.filtered_hypergraph) is not None:
         return Verdict("reconstructable"), rec
     return Verdict("extra_structure", extra_contexts=rec.extra_contexts), rec
+
+
+# the package's name for evaluate
+evaluate_reconstruction = evaluate
 
 
 def verdict(h: Hypergraph, *, n: Optional[int] = None) -> Verdict:

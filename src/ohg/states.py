@@ -1,15 +1,15 @@
 """Two-valued state tables and the analyses over them.
 
 The search of :mod:`ohg.engine` returns its trace, one list of parts with
-the root last, and each answer here is a loop over it: plain counts
+the root last, and each answer is a loop over it: plain counts
 (:func:`count_states`, the engine's), per-vertex true counts and pairwise
-co-truth counts (:func:`cotruth`), or the rows themselves
-(:func:`enumerate_states`). The pairwise analyses (classification, gadget
-scans and profiles, reconstruction by the adjacency criterion) need nothing
-else, so they run without a state table, on the 378-vertex binding too. Only
-row-level work enumerates: the state matrix, the relaxed colouring and, only
-as a fallback, the paper's row selection. Enumeration counts the trace first
-and refuses a table above :data:`ROW_BUDGET` rows.
+co-truth counts (:func:`cotruth`, in :mod:`ohg.pairwise`), or the rows
+themselves (:func:`enumerate_states`). The pairwise analyses (classification,
+gadget scans and profiles, reconstruction by the adjacency criterion) need
+nothing else, so they run without a state table, on the 378-vertex binding
+too. Only row-level work enumerates: the state matrix, the relaxed colouring
+and, only as a fallback, the paper's row selection. Enumeration counts the
+trace first and refuses a table above :data:`ROW_BUDGET` rows.
 
 Counts under a fixed prefix of the columns place a state in the canonical row
 order without the table (:class:`CanonicalRows`): the first row, the rank of
@@ -19,8 +19,12 @@ row selection needs when its find starts with row 1.
 Pairwise co-truth counts have one form, from a table
 (:attr:`TravisMatrix.cooc`) or from the trace (:func:`cotruth`): a
 ``k``-tuple of ``k``-tuples of exact Python ints, ``cooc[i][j]``, since the
-counts of the 378-vertex binding pass 2**63. The package needs nothing
-beyond the standard library.
+counts of the 378-vertex binding pass 2**63. The co-truth counts and the
+analyses read from them live apart, so that the commands that need only
+those do not load the table code: :func:`cotruth` and :func:`classify` in
+:mod:`ohg.pairwise`, :func:`gadget_scan` and :func:`gadget_profile` in
+:mod:`ohg.implications`. This module re-exports them. The package needs
+nothing beyond the standard library.
 
 Bit conventions: the engine works on :mod:`ohg.model`'s masks, bit ``i`` =
 vertex ``i``, taken from :attr:`Hypergraph.context_masks` and
@@ -37,16 +41,24 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .engine import _Problem, count, count_states, part_counts  # noqa: F401 (re-exported)
-from .errors import (
-    ColumnCountMismatchError,
-    NotAGadgetPairError,
-    OhgError,
-    RowLimitExceededError,
+from .engine import _Problem, count, count_states  # noqa: F401 (re-exported)
+from .errors import RowLimitExceededError
+from .implications import (  # noqa: F401 (re-exported)
+    GadgetProfile,
+    GadgetScan,
+    gadget_profile,
+    gadget_scan,
 )
 from .model import Hypergraph, _bits, record
+from .pairwise import (  # noqa: F401 (re-exported)
+    CoTruth,
+    StateClassification,
+    _diagonal,
+    classify,
+    cotruth,
+)
 
 # Rows per block for TravisMatrix.cooc: 65536 rows x 108 columns is 0.9 MB
 _COOC_BLOCK = 65536
@@ -233,73 +245,6 @@ def _column_ints(rows: Sequence[int], k: int) -> list[int]:
     return cols[8 * width - k:]
 
 
-def _diagonal(cooc: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return tuple(row[i] for i, row in enumerate(cooc))
-
-
-@record
-class CoTruth:
-    """State count and pairwise co-truth counts, without the rows.
-
-    ``cooc[i][j]`` is the number of states making columns ``i`` and ``j``
-    both true, and the diagonal holds the column sums, as in
-    :attr:`TravisMatrix.cooc`: a tuple of tuples of exact Python ints,
-    because counts pass 2**63. The pairwise analyses (:func:`classify`,
-    :func:`gadget_scan`, :func:`gadget_profile` and the reconstruction)
-    accept it in place of a table.
-    """
-
-    vertices: tuple[str, ...]
-    nts: int
-    cooc: tuple[tuple[int, ...], ...]
-
-    # compared and hashed by identity, not by the whole matrix
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    @property
-    def n_rows(self) -> int:
-        return self.nts
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def column_sums(self) -> tuple[int, ...]:
-        return _diagonal(self.cooc)
-
-    def __repr__(self) -> str:
-        return f"CoTruth({self.nts} states x {self.n_cols} vertices)"
-
-
-@record
-class StateClassification:
-    """Separability-style verdicts over a complete state table."""
-
-    nts: int
-    unital: bool
-    separable: bool
-    perfectly_separable: bool
-    fail_witness: Optional[tuple[str, str, int]]
-
-
-@record
-class GadgetProfile:
-    """State counts at a (head, tail) pair that is never jointly true."""
-
-    head: str
-    tail: str
-    n_a: int
-    n_b: int
-    n_n: int
-
-
-class GadgetScan(NamedTuple):
-    tifs_pairs: frozenset[tuple[str, str]]
-    tits_pairs: frozenset[tuple[str, str]]
-
-
 def _mirror(mask: int, k: int) -> int:
     """``mask`` with its ``k`` low bits reversed: an engine mask (bit ``i`` =
     vertex ``i``) as a row in reading order, and back."""
@@ -332,42 +277,6 @@ def _rows(trace: list[tuple], k: int, zeros: int = 0) -> list[int]:
         return rows
 
     return below(len(trace) - 1, 0)
-
-
-def _true_counts(trace: list[tuple], nodes: list[list[tuple]], k: int,
-                 zeros: int) -> tuple[int, ...]:
-    """Per vertex, the number of states of ``trace`` false on ``zeros``
-    that make it true; ``nodes`` is ``trace`` with each node's forced
-    vertices, ``(forced, subs, vertices)``.
-
-    Below each part are :func:`part_counts` states; one pass down from the
-    root counts the ways to reach each part, the derivative of the count by
-    that part. The states through a node are the ways to reach its part
-    times the states below the node, and each makes its vertices true.
-    """
-    sums = part_counts(trace, zeros)
-    counts = [0] * k
-    ways = [0] * len(trace)
-    ways[-1] = 1
-    for p in range(len(trace) - 1, -1, -1):
-        reach = ways[p]
-        if not reach:
-            continue
-        for forced, subs, vs in nodes[p]:
-            if forced & zeros:
-                continue
-            n = 1
-            for q in subs:
-                n *= sums[q]
-            if not n:
-                continue
-            through = reach * n
-            for v in vs:
-                counts[v] += through
-            for q in subs:
-                # n // sums[q]: the states of the node's other parts
-                ways[q] += reach * (n // sums[q])
-    return tuple(counts)
 
 
 def check_row_budget(n: int, *, row_limit: Optional[int] = None) -> None:
@@ -459,117 +368,3 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     rows = _rows(trace, len(h.vertices))
     rows.sort(reverse=True)
     return TravisMatrix(h.vertices, tuple(rows))
-
-
-def cotruth(h: Hypergraph) -> CoTruth:
-    """State count and pairwise co-truth counts of ``h``, without a table.
-
-    The search runs once, and row ``i`` holds the true counts over the
-    states false on every neighbour of ``i``, which are exactly the states
-    making ``i`` true: one pass up and one down over the trace per vertex
-    (:func:`_true_counts`), so the 378-vertex binding (about 5.9e23 states)
-    is analysed in under a second. The result equals
-    ``enumerate_states(h).cooc`` entry for entry.
-    """
-    k = len(h.vertices)
-    trace = _Problem(h).trace()
-    nodes = [[(forced, subs, tuple(_bits(forced))) for forced, subs in part]
-             for part in trace]
-    return CoTruth(h.vertices, count(trace),
-                   tuple(_true_counts(trace, nodes, k, nbr) for nbr in h.neighbor_masks))
-
-
-def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
-    """Unitality and the separability ladder over a complete state table or
-    its co-truth counts (:func:`cotruth`).
-
-    Separable: every two columns differ in some row. Perfectly separable:
-    additionally each ordered pair is distinguished in both directions and
-    every non-adjacent pair is jointly true in some row. The witness names
-    the first violating pair together with which of the three conditions
-    failed (1: no row 0/1, 2: no row 1/0, 3: no row 1/1).
-    """
-    if t.vertices != h.vertices:
-        raise ColumnCountMismatchError(
-            "state table columns do not match the hypergraph's vertices"
-        )
-    k = t.n_cols
-    nts = t.n_rows
-    cooc = t.cooc
-    colsum = t.column_sums
-    unital = nts > 0 and all(colsum)
-    separable = True
-    perfectly = True
-    witness: Optional[tuple[str, str, int]] = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            both = cooc[i][j]
-            item1 = colsum[j] - both > 0  # some row has i=0, j=1
-            item2 = colsum[i] - both > 0  # some row has i=1, j=0
-            if not item1 and not item2:
-                separable = False
-            item3 = True
-            if not h.adjacent(h.vertices[i], h.vertices[j]):
-                item3 = both > 0
-            if witness is None and not (item1 and item2 and item3):
-                perfectly = False
-                failed = 1 if not item1 else (2 if not item2 else 3)
-                witness = (h.vertices[i], h.vertices[j], failed)
-    return StateClassification(
-        nts=nts,
-        unital=unital,
-        separable=separable,
-        perfectly_separable=perfectly,
-        fail_witness=witness,
-    )
-
-
-def gadget_scan(h: Hypergraph, t: TravisMatrix | CoTruth) -> GadgetScan:
-    """True-implies-false and true-implies-true pairs of the state table or
-    of its co-truth counts.
-
-    TIFS pairs are restricted to non-adjacent vertices: adjacency forbids
-    co-truth trivially and would flood the output. TITS pairs require the
-    head to be true in at least one state, so vacuous implications are out.
-    """
-    if t.vertices != h.vertices:
-        raise ColumnCountMismatchError(
-            "state table columns do not match the hypergraph's vertices"
-        )
-    if t.n_rows == 0:
-        raise OhgError("gadget_scan needs at least one two-valued state")
-    cooc = t.cooc
-    colsum = t.column_sums
-    k = t.n_cols
-    tifs = set()
-    tits = set()
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            u, v = h.vertices[i], h.vertices[j]
-            if cooc[i][j] == 0 and not h.adjacent(u, v):
-                tifs.add((u, v))
-            if colsum[i] > 0 and cooc[i][j] == colsum[i]:
-                tits.add((u, v))
-    return GadgetScan(frozenset(tifs), frozenset(tits))
-
-
-def gadget_profile(t: TravisMatrix | CoTruth, head: str, tail: str) -> GadgetProfile:
-    """Count states with head true / tail true / both false.
-
-    Raises :class:`NotAGadgetPairError` if some state sets both to 1 (the
-    three counts would not partition the states)."""
-    if head == tail:
-        raise OhgError("head and tail of a gadget pair must differ")
-    for v in (head, tail):
-        if v not in t.vertices:
-            raise OhgError(f"{v!r} is not a column of the state table")
-    i = t.vertices.index(head)
-    j = t.vertices.index(tail)
-    if t.cooc[i][j] > 0:
-        raise NotAGadgetPairError(
-            f"{head!r} and {tail!r} are jointly true in some state"
-        )
-    n_a, n_b = t.column_sums[i], t.column_sums[j]
-    return GadgetProfile(head, tail, n_a, n_b, t.n_rows - n_a - n_b)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ohg import engine, formats, gadgets, states
+from ohg import engine, gadgets, model, states
 from ohg.cli import _COMMANDS, _build_parser, main
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
@@ -139,6 +139,18 @@ class TestStates:
         assert code == 2 and out == ""
         assert err == "error: the row limit must not be negative, got --limit -1\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("extra", [(), ("--count-only",)])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, bug_file, monkeypatch,
+                                             jobs, extra):
+        # refused before the file is read, as a negative --limit is
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the file despite a usage error")
+        monkeypatch.setattr(model, "parse_ohg", refuse)
+        code, out, err = run(capsys, "states", bug_file, "--jobs", jobs, *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: the number of jobs must be positive, got --jobs {jobs}\n"
+
     @pytest.mark.parametrize("extra, flags", [
         (("--count-only",), "--count-only and --out"),
         (("--format", "json"), "--out and --format json"),
@@ -189,7 +201,7 @@ class TestStates:
         # by a count, and a count builds no table for --limit to bound
         def refuse(*args, **kwargs):
             raise AssertionError("read the file despite a usage error")
-        monkeypatch.setattr(formats, "parse_ohg", refuse)
+        monkeypatch.setattr(model, "parse_ohg", refuse)
         code, out, err = run(capsys, "states", bug_file, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"

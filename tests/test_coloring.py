@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohg import cli, coloring, core, gadgets, states
+from ohg import chromatic, cli, coloring, core, gadgets, states
 from ohg.coloring import (
     Coloring,
     PartitionSystem,
@@ -434,7 +434,7 @@ class TestChromatic:
         assert time.perf_counter() - start < 5
 
     def test_size_limit(self, bind_bug, monkeypatch, capsys, tmp_path):
-        monkeypatch.setattr(coloring, "_NODE_BUDGET", 10)
+        monkeypatch.setattr(chromatic, "_NODE_BUDGET", 10)
         with pytest.raises(SizeLimitError, match="after 10 nodes"):
             exact_chromatic(bind_bug)
         path = tmp_path / "bind_bug.ohg"

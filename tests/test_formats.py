@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ohg import gadgets, states
 from ohg.cli import main
-from ohg.commands.states import _json_with_rows
+from ohg.commands._json_rows import json_with_rows
 from ohg.errors import OhgError, ParseError
 from ohg.formats import (
     matrix_chunks,
@@ -240,7 +240,7 @@ class TestMatrixWriterProperties:
         assert_same_text("".join(chunks), want)
         assert all(c.count("\n") <= _BLOCK + 1 for c in chunks)
         payload = {"vertices": list(t.vertices), "nTS": n}
-        assert_same_text("".join(_json_with_rows(payload, t)),
+        assert_same_text("".join(json_with_rows(payload, t)),
                          reference_states_json(t))
         # a slice that need not start or end on a block boundary
         start = int(cut[0] * n)
