@@ -9,29 +9,36 @@ applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
 
-This module holds the entry point and the parser; :mod:`ohg.commands` holds
-the helpers the subcommands share. Each subcommand lives in its own module,
-``ohg.commands.<name>`` (``verify_for`` for ``verify-for``), with
-``add_arguments(parser)`` and ``run(args)``, so that a command loads and
-compiles only its own arguments and handler. The parser gets the arguments of
-the one subcommand named first on the command line, and of all of them only
-for ``--help``, a missing or an unknown subcommand; its help, usage lines and
-errors are the same either way. A subcommand imports the package modules it
-calls, and :mod:`json` only when it prints JSON, so that it loads only the
-code it runs.
+This module holds the entry point, the command-line reader and the parser;
+:mod:`ohg.commands` holds the helpers the subcommands share. Each subcommand
+lives in its own module, ``ohg.commands.<name>`` (``verify_for`` for
+``verify-for``), with its arguments as data, ``ARGUMENTS`` (each name with
+its :mod:`argparse` keywords; ``EXCLUSIVE`` names a pair that cannot be
+combined), and ``run(args)``, so that a command loads and compiles only its
+own arguments and handler. A valid command line is read by a small reader
+over the named subcommand's table, without :mod:`argparse`. Anything the
+reader does not take, such as ``--help``, an abbreviated option or a usage
+error, goes to the parser built from the same tables, and the parser alone
+answers it. The parser gets the arguments of the one subcommand named first
+on the command line, and of all of them only for ``--help``, a missing or an
+unknown subcommand; its help, usage lines and errors are the same either way.
+A subcommand imports the package modules it calls, and :mod:`json` only when
+it prints JSON, so that it loads only the code it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import OhgError
 
 if TYPE_CHECKING:
+    import argparse
+    from types import ModuleType
     from typing import Optional
 
 
@@ -50,14 +57,70 @@ _COMMANDS = {
 }
 
 
+def _command(name: str) -> ModuleType:
+    return importlib.import_module(f".commands.{name.replace('-', '_')}", __package__)
+
+
+def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments of ``argv`` as the parser would give them, or ``None``
+    where the reader does not decide.
+
+    It takes exact long names, ``--name value``, ``--name=value``, flags and
+    positionals in any order, converts and checks values as the table says,
+    and requires the required options and at most one of an exclusive pair.
+    Everything else is left to the parser: help, abbreviations, a value that
+    is empty or starts with ``-``, a repeated option, a failed conversion or
+    choice, and a wrong number of positionals.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = _command(argv[0])
+    table = command.ARGUMENTS
+    positionals = iter([name for name in table if not name.startswith("-")])
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        # a positional is read as if it were --<its name>=<arg>
+        if arg.startswith("-"):
+            name, eq, value = arg.partition("=")
+        else:
+            name, eq, value = next(positionals, None), "=", arg
+        # the one action the tables use is store_true
+        if name not in table or name in given or eq and "action" in table[name]:
+            return None
+        given[name] = True if "action" in table[name] else value if eq else next(rest, "")
+    if len(given.keys() & set(getattr(command, "EXCLUSIVE", ()))) > 1:
+        return None
+    args = {"command": argv[0], "func": command.run}
+    for name, kw in table.items():
+        value = given.get(name)
+        if value is None:
+            if kw.get("required") or not name.startswith("-"):
+                return None
+            value = kw.get("default", False if "action" in kw else None)
+        elif value is not True:
+            if not value or value.startswith("-"):
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", [value]):
+                return None
+        args[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``.
+    """The parser for ``argv``, built from the subcommands' tables.
 
     When ``argv[0]`` names a subcommand, only that subcommand's parser is
     built, and only its module is loaded; otherwise (``--help``, no
     arguments, an unknown name) all of them are. Either way the usage line
     and every message are the same.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ohg",
         description="Analyze orthogonality hypergraphs via their two-valued states.",
@@ -70,10 +133,12 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in [only] if only else _COMMANDS:
-        command = importlib.import_module(
-            f".commands.{name.replace('-', '_')}", __package__)
+        command = _command(name)
         p = sub.add_parser(name, help=_COMMANDS[name])
-        command.add_arguments(p)
+        exclusive = getattr(command, "EXCLUSIVE", ())
+        group = exclusive and p.add_mutually_exclusive_group()
+        for arg, kw in command.ARGUMENTS.items():
+            (group if arg in exclusive else p).add_argument(arg, **kw)
         p.set_defaults(func=command.run)
     return parser
 
@@ -81,7 +146,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_args(argv) or _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

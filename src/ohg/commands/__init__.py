@@ -1,6 +1,9 @@
-"""The ``ohg`` subcommands, one module each, with ``add_arguments(parser)``
-and ``run(args)``; :mod:`ohg.cli` loads the one a command line names. This
-module holds the helpers they share."""
+"""The ``ohg`` subcommands, one module each, with their arguments as data,
+``ARGUMENTS`` (each name with its :mod:`argparse` keywords, and
+``EXCLUSIVE`` for a pair that cannot be combined), and ``run(args)``;
+:mod:`ohg.cli` loads the one a command line names, reads the line from that
+table and builds a parser from it only where its reader does not decide.
+This module holds the helpers they share."""
 
 from __future__ import annotations
 

@@ -3,12 +3,13 @@
 from . import _emit_json, _load_hypergraph
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--brooks", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "file": {},
+    "--exact": {"action": "store_true", "default": True},
+    "--brooks": {"action": "store_true"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
+EXCLUSIVE = ("--exact", "--brooks")
 
 
 def run(args) -> int:

@@ -9,9 +9,10 @@ if TYPE_CHECKING:
     from typing import Optional
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "file": {},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
 
 
 def run(args) -> int:

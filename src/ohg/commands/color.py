@@ -12,12 +12,12 @@ if TYPE_CHECKING:
     from ..chromatic import Coloring
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--algorithm", choices=("paper", "relaxed", "exact"),
-                   default="paper")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+ARGUMENTS = {
+    "file": {},
+    "--n": {"type": int, "required": True},
+    "--algorithm": {"choices": ("paper", "relaxed", "exact"), "default": "paper"},
+    "--format": {"choices": ("text", "json", "dot"), "default": "text"},
+}
 
 
 def run(args) -> int:

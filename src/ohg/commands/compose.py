@@ -5,12 +5,13 @@ import sys
 from . import _emit_json, _load_hypergraph
 
 
-def add_arguments(p) -> None:
-    p.add_argument("kind", choices=("layer", "bind"))
-    p.add_argument("file")
-    p.add_argument("--head", required=True)
-    p.add_argument("--tail", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "kind": {"choices": ("layer", "bind")},
+    "file": {},
+    "--head": {"required": True},
+    "--tail": {"required": True},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
 
 
 def run(args) -> int:

@@ -4,11 +4,12 @@ from . import _emit_json
 from ..errors import OhgError
 
 
-def add_arguments(p) -> None:
-    p.add_argument("--na", type=int, required=True)
-    p.add_argument("--nb", type=int, required=True)
-    p.add_argument("--nn", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "--na": {"type": int, "required": True},
+    "--nb": {"type": int, "required": True},
+    "--nn": {"type": int, "required": True},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
 
 
 def run(args) -> int:

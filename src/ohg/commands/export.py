@@ -5,9 +5,10 @@ import sys
 from . import _emit_json, _load_hypergraph
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--format", choices=("json", "dot"), required=True)
+ARGUMENTS = {
+    "file": {},
+    "--format": {"choices": ("json", "dot"), "required": True},
+}
 
 
 def run(args) -> int:

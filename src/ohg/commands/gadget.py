@@ -2,20 +2,16 @@
 
 import sys
 
+from .. import catalogue
 from ..errors import OhgError
 
-
-def add_arguments(p) -> None:
-    from ..catalogue import FIXTURE_NAMES
-
-    p.add_argument("name", choices=FIXTURE_NAMES)
-    p.add_argument("--travis", action="store_true",
-                   help="emit the reference state table instead")
+ARGUMENTS = {
+    "name": {"choices": catalogue.FIXTURE_NAMES},
+    "--travis": {"action": "store_true", "help": "emit the reference state table instead"},
+}
 
 
 def run(args) -> int:
-    from .. import catalogue
-
     if args.travis:
         from ..formats import matrix_chunks
 

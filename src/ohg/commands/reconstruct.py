@@ -3,10 +3,11 @@
 from . import _emit_json, _load_hypergraph
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--n", type=int, default=None, help="clique number override")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "file": {},
+    "--n": {"type": int, "default": None, "help": "clique number override"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
 
 
 def run(args) -> int:

@@ -8,16 +8,16 @@ from . import _emit_json, _load_hypergraph
 from ..errors import OhgError
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out", metavar="MATRIXFILE")
-    p.add_argument("--limit", type=int, default=None,
-                   help="abort past this many rows (replaces the row budget)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--progress", action="store_true",
-                   help="stream running counts to stderr")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "file": {},
+    "--count-only": {"action": "store_true"},
+    "--out": {"metavar": "MATRIXFILE"},
+    "--limit": {"type": int, "default": None,
+                "help": "abort past this many rows (replaces the row budget)"},
+    "--jobs": {"type": int, "default": 1},
+    "--progress": {"action": "store_true", "help": "stream running counts to stderr"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
 
 
 def run(args) -> int:

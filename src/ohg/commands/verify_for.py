@@ -3,13 +3,14 @@
 from . import _emit_json, _load_hypergraph, _read
 
 
-def add_arguments(p) -> None:
-    p.add_argument("file")
-    p.add_argument("vectors")
-    # None stands for geometry.DEFAULT_TOLERANCE, so that building the
-    # parser does not load geometry
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+ARGUMENTS = {
+    "file": {},
+    "vectors": {},
+    # None stands for geometry.DEFAULT_TOLERANCE, so that reading the
+    # arguments does not load geometry
+    "--tol": {"type": float, "default": None},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
 
 
 def run(args) -> int:

@@ -57,7 +57,11 @@ def _dot(x: tuple[float, ...], y: tuple[float, ...]) -> float:
 
 
 def _normalize(name: str, vec: tuple[float, ...]) -> tuple[float, ...]:
-    norm = math.sqrt(_dot(vec, vec))
+    # every comparison with NaN is false, so a non-finite vector would pass
+    if not all(map(math.isfinite, vec)):
+        raise OhgError(f"vertex {name!r} carries a non-finite component")
+    # hypot scales internally, so that no vector's norm underflows or overflows
+    norm = math.hypot(*vec)
     if norm == 0.0:
         raise OhgError(f"vertex {name!r} carries the zero vector")
     return tuple(c / norm for c in vec)
@@ -70,10 +74,12 @@ def verify_for(
 
     Requires a vector of the declared dimension for every vertex; ``tol`` is
     the orthogonality cutoff on normalized inner products (the package
-    convention is 1e-9 since no canonical value exists).
+    convention is 1e-9 since no canonical value exists). From 0.5 up a pair
+    could be orthogonal and colinear at once, so ``tol`` must lie strictly
+    between 0 and 0.5.
     """
-    if tol <= 0:
-        raise OhgError("tolerance must be positive")
+    if not 0 < tol < 0.5:
+        raise OhgError(f"tolerance must lie strictly between 0 and 0.5, got {tol}")
     unit: dict[str, tuple[float, ...]] = {}
     for v in h.vertices:
         if v not in labeling.vectors:

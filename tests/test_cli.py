@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import re
+import shlex
 import subprocess
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohg import engine, gadgets, model, states
-from ohg.cli import _COMMANDS, _build_parser, main
+from ohg.cli import _COMMANDS, _build_parser, _command, _read_args, main
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
 from conftest import child_options, disjoint_union, ohg_argv, run_ohg
@@ -594,6 +600,28 @@ class TestVerifyFor:
         code, out, _ = run(capsys, "verify-for", str(ohg_path), str(vec_path))
         assert code == 0 and "valid" in out
 
+    @pytest.mark.parametrize("vector", ["nan nan nan", "inf 0 0"])
+    def test_non_finite_vector_is_refused(self, capsys, tmp_path, vector):
+        ohg_path = tmp_path / "k3.ohg"
+        ohg_path.write_text("a b c\n")
+        vec_path = tmp_path / "k3.vec"
+        vec_path.write_text(f"a: 1 0 0\nb: {vector}\nc: 0 0 1\n")
+        code, out, err = run(capsys, "verify-for", str(ohg_path), str(vec_path))
+        assert (code, out) == (2, "")
+        assert err == "error: vertex 'b' carries a non-finite component\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0.5", "0"])
+    def test_tolerance_outside_the_open_half_interval(self, capsys, tmp_path, tol):
+        # with --tol nan, five equal vectors on the pentagon passed as valid
+        pentagon = gadgets.fixture("pentagon").hypergraph
+        ohg_path = tmp_path / "pentagon.ohg"
+        ohg_path.write_text(write_ohg(pentagon))
+        vec_path = tmp_path / "same.vec"
+        vec_path.write_text("".join(f"{v}: 1 0 0\n" for v in pentagon.vertices))
+        code, out, err = run(capsys, "verify-for", str(ohg_path), str(vec_path), "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance must lie strictly between 0 and 0.5")
+
 
 class TestExport:
     def test_json(self, capsys, bug_file):
@@ -731,3 +759,149 @@ class TestParser:
         result = run_ohg("color", "f.ohg")
         full = parse(_build_parser([]), ["color", "f.ohg"], capsys)
         assert (result.returncode, result.stdout, result.stderr) == full
+
+
+def namespaces_equal(read, parsed) -> bool:
+    """Equal ``vars()``, NaN included."""
+    def key(ns):
+        return {k: repr(v) if isinstance(v, float) and math.isnan(v) else v
+                for k, v in vars(ns).items()}
+    return key(read) == key(parsed)
+
+
+def parsed_quietly(argv):
+    """``vars()`` of the parser's namespace, or ``None`` where it exits."""
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return _build_parser(argv).parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def tour_lines():
+    """The ``ohg`` lines of the README's command-line tour, as argument lists,
+    without comments and ``> file`` redirections."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Command-line tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in tour.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["ohg"]:
+            if ">" in words:
+                del words[words.index(">"):words.index(">") + 2]
+            lines.append(words[1:])
+    return lines
+
+
+def workload_lines(tmp_path, monkeypatch):
+    """Every command line the benchmark's workloads run: set-ups, timed
+    commands and probes, with inputs made by ``main`` in-process."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    import workloads
+
+    def ohg(args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(list(args)) == 0
+        return out.getvalue()
+
+    lines = []
+    for name in ("count", "table", "export"):
+        inputs = workloads.Inputs(work=tmp_path, seed=7, ohg=ohg, checkout=root)
+        workloads.setup(name, inputs)
+        lines += [args for args, _ in inputs.setup_log]
+        lines += [c.args for c in workloads.commands(name, inputs)]
+        lines += [p.args for p in workloads.probes(name, inputs)]
+    # the traced run also counts with --jobs
+    return lines + [["states", "bind_fig4.ohg", "--count-only", "--jobs", "2"]]
+
+
+class TestReader:
+    """The reader takes valid command lines without argparse, with the
+    namespace the parser would give; it leaves everything else to the
+    parser."""
+
+    def test_readme_tour(self):
+        lines = tour_lines()
+        assert len(lines) == 14 and {argv[0] for argv in lines} == set(_COMMANDS)
+        for argv in lines:
+            read = _read_args(argv)
+            assert read is not None, argv
+            assert namespaces_equal(read, parsed_quietly(argv)), argv
+
+    def test_workload_lines(self, tmp_path, monkeypatch):
+        lines = workload_lines(tmp_path, monkeypatch)
+        assert {"gadget", "compose", "states", "count", "classify"} <= {argv[0] for argv in lines}
+        for argv in lines:
+            read = _read_args(argv)
+            assert read is not None, argv
+            assert namespaces_equal(read, parsed_quietly(argv)), argv
+
+    @pytest.mark.parametrize("argv", [
+        ("states", "f.ohg", "--help"), ("states", "f.ohg", "-h"), ("states", "f.ohg", "--count"),
+        ("states", "f.ohg", "--limit", "-1"), ("states", "f.ohg", "--limit=-1"),
+        ("states", "f.ohg", "--jobs", "2", "--jobs", "3"), ("states", "f.ohg", "--count-only=1"),
+        ("states", "--", "f.ohg"), ("states", "-"), ("states", ""), ("states", "f.ohg", "--out="),
+        ("count", "--na", "1", "--nb", "x", "--nn", "1"), ("export", "f.ohg", "--format", "xml"),
+        ("chroma", "f.ohg", "--brooks", "--exact"), ("gadget", "bug", "extra"), ("gadget",),
+        ("frobnicate",), (), ("--help",),
+    ], ids=lambda a: " ".join(a) or "bare")
+    def test_leaves_to_the_parser(self, argv):
+        assert _read_args(list(argv)) is None
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_parser(self, data):
+        name = data.draw(st.sampled_from(list(_COMMANDS)))
+        argv = [name, *data.draw(argument_words(_command(name).ARGUMENTS))]
+        read = _read_args(argv)
+        if read is not None:
+            parsed = parsed_quietly(argv)
+            assert parsed is not None and namespaces_equal(read, parsed)
+
+
+_ODD_VALUES = ("", "-", "--", "-1", "-x", "--help", "x", "1.5", "1_0", " 3", "+3", "nan",
+               "inf", "1e-3", "a=b", "a b", "text", "json", "dot", "xml", "paper", "bug")
+
+
+def value_words(kw):
+    """A value for an argument: good ones for its type and choices, and odd ones."""
+    if "choices" in kw:
+        good = st.sampled_from(list(kw["choices"]))
+    elif kw.get("type") is int:
+        good = st.integers(-3, 40).map(str)
+    elif kw.get("type") is float:
+        good = st.floats(allow_nan=True).map(repr)
+    else:
+        good = st.text("abv1.=", min_size=1, max_size=4)
+    return st.one_of(good, good, good, st.sampled_from(_ODD_VALUES))
+
+
+@st.composite
+def argument_words(draw, table):
+    """The words after a subcommand: each argument of ``table`` maybe given,
+    as ``--name value`` or ``--name=value``, then some noise (abbreviations,
+    help, repeats, extra positionals), in any order."""
+    groups = []
+    for name, kw in table.items():
+        if not name.startswith("-"):
+            groups.append([draw(value_words(kw))])
+        elif draw(st.integers(0, 3)):
+            if "action" in kw:
+                groups.append([name])
+            elif draw(st.booleans()):
+                groups.append([f"{name}={draw(value_words(kw))}"])
+            else:
+                groups.append([name, draw(value_words(kw))])
+    options = [name for name in table if name.startswith("-")]
+    noise = st.one_of(
+        st.sampled_from(options).map(lambda o: [o[:-1]]),
+        st.sampled_from(options).map(lambda o: [o]),
+        st.sampled_from(options).flatmap(lambda o: value_words(table[o]).map(lambda v: [o, v])),
+        st.sampled_from(["-h", "--help", "--", "extra", "-"]).map(lambda w: [w]),
+    )
+    if not draw(st.integers(0, 2)):
+        groups.append(draw(noise))
+    return [word for group in draw(st.permutations(groups)) for word in group]

@@ -23,12 +23,26 @@ def rotate(labeling: VectorLabeling, seed: int) -> VectorLabeling:
     })
 
 
-def rescale(labeling: VectorLabeling, seed: int) -> VectorLabeling:
+def rescale(labeling: VectorLabeling, seed: int, factor: float = 1.0) -> VectorLabeling:
+    """Each vector times ``factor`` and a random scale of its own."""
     rng = random.Random(seed)
+    scales = {name: rng.choice((-3.5, 0.25, 7.0, -0.01)) * factor
+              for name in labeling.vectors}
     return VectorLabeling(labeling.dimension, {
-        name: tuple(c * rng.choice((-3.5, 0.25, 7.0, -0.01)) for c in vec)
+        name: tuple(c * scales[name] for c in vec)
         for name, vec in labeling.vectors.items()
     })
+
+
+def shipped_pentagon_labeling() -> VectorLabeling:
+    from importlib import resources
+    from ohg.formats import parse_vectors
+
+    return parse_vectors((resources.files("ohg") / "fixtures" / "pentagon.vec").read_text())
+
+
+# far enough from 1 that the squared norm of a vector underflows or overflows
+SCALES = (1.0, 1e-200, 1e200)
 
 
 def violation_pairs(report):
@@ -93,11 +107,7 @@ class TestVerify:
         assert report.ok
 
     def test_shipped_pentagon_labeling(self, pentagon):
-        from importlib import resources
-        from ohg.formats import parse_vectors
-
-        text = (resources.files("ohg") / "fixtures" / "pentagon.vec").read_text()
-        assert verify_for(pentagon, parse_vectors(text), tol=1e-9).ok
+        assert verify_for(pentagon, shipped_pentagon_labeling(), tol=1e-9).ok
 
     def test_chorded_bug_has_no_representation(self, bug):
         chorded = core.build(
@@ -129,9 +139,12 @@ class TestInvariance:
             rotated = violation_pairs(verify_for(k3, rotate(bad, seed), tol=1e-9))
             assert rotated == base
 
-    def test_scaling_is_ignored(self, k3):
-        for seed in (6, 7):
-            assert verify_for(k3, rescale(K3_BASIS, seed), tol=1e-9).ok
+    def test_scaling_is_ignored(self, k3, pentagon):
+        shipped = shipped_pentagon_labeling()
+        for factor in SCALES:
+            for seed in (6, 7):
+                assert verify_for(k3, rescale(K3_BASIS, seed, factor), tol=1e-9).ok
+            assert verify_for(pentagon, rescale(shipped, 6, factor), tol=1e-9).ok, factor
 
     def test_scaling_preserves_violations(self, k3):
         bad = VectorLabeling(3, {
@@ -140,7 +153,9 @@ class TestInvariance:
             "c": (0.0, 1.0, 0.0),
         })
         base = violation_pairs(verify_for(k3, bad, tol=1e-9))
-        assert violation_pairs(verify_for(k3, rescale(bad, 8), tol=1e-9)) == base
+        for factor in SCALES:
+            scaled = verify_for(k3, rescale(bad, 8, factor), tol=1e-9)
+            assert violation_pairs(scaled) == base, factor
 
 
 class TestErrors:
@@ -163,6 +178,16 @@ class TestErrors:
         with pytest.raises(OhgError):
             verify_for(k3, degenerate)
 
+    def test_non_finite_component(self, pentagon):
+        # every comparison with NaN is false, so these would pass as valid
+        shipped = shipped_pentagon_labeling()
+        for bad in ((math.nan,) * 3, (math.inf, 0.0, 0.0), (1.0, -math.inf, 0.0)):
+            vectors = dict(shipped.vectors, a3=bad)
+            with pytest.raises(OhgError, match="'a3' carries a non-finite"):
+                verify_for(pentagon, VectorLabeling(3, vectors))
+
     def test_bad_tolerance(self, k3):
-        with pytest.raises(OhgError):
-            verify_for(k3, K3_BASIS, tol=0.0)
+        # from 0.5 up one pair could be both orthogonal and colinear
+        for tol in (0.0, -1e-9, math.nan, math.inf, 0.5, 0.75):
+            with pytest.raises(OhgError, match="tolerance"):
+                verify_for(k3, K3_BASIS, tol=tol)

@@ -3,7 +3,8 @@
 The tests use numpy as an oracle, so each case runs in a fresh interpreter.
 The child runs ``ohg.cli.main`` on one command and reports on stderr which
 of the watched modules were loaded before and after it: numpy, never;
-``dataclasses``, never; ``json``, only for JSON output; the colouring,
+``dataclasses``, never; ``argparse``, never on a valid command line;
+``json``, only for JSON output; the colouring,
 chromatic, clique, co-truth, reconstruction and geometry modules only for the
 commands that call them; the counting engine, ``ohg.engine``, only where
 states are counted, listed or parsed; the table code, ``ohg.states``, only
@@ -32,8 +33,8 @@ from ohg.formats import write_ohg
 
 from conftest import child_options
 
-_WATCHED = ("numpy", "dataclasses", "json", "ohg.coloring", "ohg.reconstruction",
-            "ohg.geometry")
+_WATCHED = ("numpy", "dataclasses", "json", "argparse", "ohg.coloring",
+            "ohg.reconstruction", "ohg.geometry")
 # the modules that the shared library modules were split into
 _SPLIT = ("ohg.chromatic", "ohg.cliques", "ohg.pairwise", "ohg.implications",
           "ohg.catalogue", "ohg.bindcount")
@@ -109,9 +110,11 @@ def test_import_ohg_leaves_numpy_unloaded():
     ("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
 ], ids=" ".join)
 def test_numpy_free_commands(paths, args):
+    # nor do they load argparse, which only help and usage errors need
     before, after, code = probe(*(a.format(**paths) for a in args))
     assert code == 0
     assert "numpy" not in before | after
+    assert "argparse" not in before | after
 
 
 def test_import_ohg_loads_no_submodule():
