@@ -7,10 +7,31 @@ those results, and verifies vector labelings. The ``ohg`` command exposes the
 same operations on text files.
 """
 
-import importlib
+from importlib import import_module
 
-# Public names by submodule, each imported on first use (PEP 562), so that a
-# command loads only the modules it runs.
+
+# A module ``__getattr__`` (PEP 562) for the module whose globals are
+# ``namespace``. On first access it imports a name of ``home`` from the
+# submodule ``home[name]`` of this package, or a name of ``submodules`` as
+# that submodule, and binds it in ``namespace``, so that the module loads a
+# submodule only where it is used. It serves attribute access and ``from``
+# imports, not the module's own global lookups.
+def _lazy(namespace, home, submodules=()):
+    def __getattr__(name):
+        if name in home:
+            value = getattr(import_module(f".{home[name]}", __name__), name)
+        elif name in submodules:
+            value = import_module(f".{name}", __name__)
+        else:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+# Public names by submodule, each imported on first use, so that a command
+# loads only the modules it runs.
 _EXPORTS = {
     "model": "Hypergraph build",
     "core": "FourCycle Graph four_cycle_lint is_isomorphic maximal_cliques two_section",
@@ -32,18 +53,7 @@ _EXPORTS = {
     "geometry": "ForReport VectorLabeling verify_for",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "cli", "formats"}
-
-
-def __getattr__(name: str):
-    if name in _MODULE_OF:
-        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+__getattr__ = _lazy(globals(), _MODULE_OF, {*_EXPORTS, "cli", "formats"})
 
 
 def __dir__() -> list[str]:

@@ -9,16 +9,17 @@ applicable. State matrices are written in chunks of a few thousand rows; when
 the reader of standard output closes the pipe early, the command stops
 quietly with exit code 141, as a program killed by SIGPIPE would.
 
-This module holds the entry point, the command-line reader and the parser;
-:mod:`ohg.commands` holds the helpers the subcommands share. Each subcommand
-lives in its own module, ``ohg.commands.<name>`` (``verify_for`` for
-``verify-for``), with its arguments as data, ``ARGUMENTS`` (each name with
-its :mod:`argparse` keywords; ``EXCLUSIVE`` names a pair that cannot be
-combined), and ``run(args)``, so that a command loads and compiles only its
-own arguments and handler. A valid command line is read by a small reader
+This module holds the entry point and the command-line reader;
+:mod:`ohg.commands` holds the list of subcommands and the helpers they
+share. Each subcommand lives in its own module, ``ohg.commands.<name>``
+(``verify_for`` for ``verify-for``), with its arguments as data,
+``ARGUMENTS`` (each name with its :mod:`argparse` keywords; ``EXCLUSIVE``
+names a pair that cannot be combined), and ``run(args)``, so that a command
+loads and compiles only its own arguments and handler. A valid command line is read by a small reader
 over the named subcommand's table, without :mod:`argparse`. Anything the
 reader does not take, such as ``--help``, an abbreviated option or a usage
-error, goes to the parser built from the same tables, and the parser alone
+error, goes to the parser built from the same tables
+(:mod:`ohg.commands._parser`, loaded only then), and the parser alone
 answers it. The parser gets the arguments of the one subcommand named first
 on the command line, and of all of them only for ``--help``, a missing or an
 unknown subcommand; its help, usage lines and errors are the same either way.
@@ -28,37 +29,16 @@ it prints JSON, so that it loads only the code it runs.
 
 from __future__ import annotations
 
-import importlib
 import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+from .commands import _COMMANDS, _command
 from .errors import OhgError
 
 if TYPE_CHECKING:
-    import argparse
-    from types import ModuleType
     from typing import Optional
-
-
-# Each subcommand with its one-line help, in the order ``ohg --help`` lists them
-_COMMANDS = {
-    "states": "enumerate or count all two-valued states",
-    "classify": "unital/separable/perfectly-separable verdicts",
-    "reconstruct": "rebuild the hypergraph from its states",
-    "color": "search for a proper coloring",
-    "chroma": "chromatic number or Brooks bound",
-    "gadget": "emit a catalogued fixture",
-    "compose": "layer or bind a gadget",
-    "count": "predicted state count of a binding",
-    "verify-for": "check a vector labeling",
-    "export": "emit the hypergraph as JSON or DOT",
-}
-
-
-def _command(name: str) -> ModuleType:
-    return importlib.import_module(f".commands.{name.replace('-', '_')}", __package__)
 
 
 def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
@@ -111,42 +91,14 @@ def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**args)
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``, built from the subcommands' tables.
-
-    When ``argv[0]`` names a subcommand, only that subcommand's parser is
-    built, and only its module is loaded; otherwise (``--help``, no
-    arguments, an unknown name) all of them are. Either way the usage line
-    and every message are the same.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="ohg",
-        description="Analyze orthogonality hypergraphs via their two-valued states.",
-    )
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    # The usage line lists the subcommands that were built; with one built,
-    # the metavar lists them all instead. It stays unset otherwise, because
-    # it would also replace "command" in the errors on a missing or unknown
-    # subcommand, which only the full parser reports.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [only] if only else _COMMANDS:
-        command = _command(name)
-        p = sub.add_parser(name, help=_COMMANDS[name])
-        exclusive = getattr(command, "EXCLUSIVE", ())
-        group = exclusive and p.add_mutually_exclusive_group()
-        for arg, kw in command.ARGUMENTS.items():
-            (group if arg in exclusive else p).add_argument(arg, **kw)
-        p.set_defaults(func=command.run)
-    return parser
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_args(argv) or _build_parser(argv).parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        from .commands._parser import build_parser
+
+        args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -12,8 +12,10 @@ stands its search sees only the rows disjoint from row 1, in table order. So
 the unchanged search for ``n - 1`` rows among the states disjoint from row 1,
 in canonical order, with row 1 put in front, makes the same find as over the
 whole table whenever that find starts with row 1; the rows are then numbered
-by their canonical ranks (:class:`ohg.states.CanonicalRows`). Only when that
-search finds nothing does the whole table decide.
+by their canonical ranks. Counts under a fixed prefix of the columns place a
+state in the canonical order without the table (:class:`CanonicalRows`):
+the first row, the rank of any state, and the states disjoint from a given
+one. Only when that search finds nothing does the whole table decide.
 
 The chromatic number needs no table; :class:`Coloring`,
 :func:`exact_coloring`, :func:`exact_chromatic` and :func:`brooks_bound` are
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from . import states
 from .chromatic import (  # noqa: F401 (re-exported)
     Coloring,
     brooks_bound,
@@ -39,6 +42,7 @@ from .errors import (
     OhgError,
     SizeLimitError,
 )
+from .engine import _Problem, count
 from .model import Hypergraph, _bits, record
 
 if TYPE_CHECKING:
@@ -196,6 +200,69 @@ def algorithm1(t: TravisMatrix, n: int) -> Optional[RowSelection]:
     return None
 
 
+class CanonicalRows:
+    """The canonical row order of a hypergraph's states, without the table.
+
+    Row ``r`` of :func:`~ohg.states.enumerate_states` is the ``r``-th state
+    in that order: by the first column, 1 before 0, then by the second, and
+    so on. Rows here are ints in reading order, as in
+    :class:`~ohg.states.TravisMatrix`. Each answer comes from counts of the
+    states that agree with a prefix of the columns (:meth:`count`), each a
+    pass over one trace of the search. A state is true on a vertex exactly
+    when it is false on all the vertex's neighbours, so every question is
+    one of states false on a set of vertices.
+    """
+
+    def __init__(self, h: Hypergraph):
+        self._nbr = h.neighbor_masks
+        self._trace = _Problem(h).trace()
+        self._k = len(h.vertices)
+        #: the number of states, the table's row count
+        self.nts = count(self._trace)
+
+    def count(self, ones: int = 0, zeros: int = 0) -> int:
+        """Number of states true on the vertices of ``ones`` and false on
+        those of ``zeros``, both masks in :mod:`ohg.model`'s order (bit ``i``
+        = vertex ``i``)."""
+        for v in _bits(ones):
+            zeros |= self._nbr[v]
+        # a vertex both true and false, or two adjacent true ones: no state
+        return 0 if ones & zeros else count(self._trace, zeros)
+
+    def first(self) -> int:
+        """Row 1, the largest state: column by column, 1 wherever some state
+        agrees with the columns before it and has 1 there. Needs a state."""
+        ones = zeros = 0
+        for v in range(self._k):
+            if self.count(ones | 1 << v, zeros):
+                ones |= 1 << v
+            else:
+                zeros |= 1 << v
+        return states._mirror(ones, self._k)
+
+    def rank(self, row: int) -> int:
+        """The 1-based index of the state ``row`` in the canonical table: one
+        more than the number of states that agree with it up to some column
+        where it has 0 and they have 1."""
+        state = states._mirror(row, self._k)
+        rank = 1
+        ones = zeros = 0
+        for v in range(self._k):
+            if state >> v & 1:
+                ones |= 1 << v
+            else:
+                rank += self.count(ones | 1 << v, zeros)
+                zeros |= 1 << v
+        return rank
+
+    def disjoint(self, row: int) -> list[int]:
+        """The states false on every vertex ``row`` makes true, in canonical
+        order."""
+        rows = states._rows(self._trace, self._k, states._mirror(row, self._k))
+        rows.sort(reverse=True)
+        return rows
+
+
 def paper_coloring(
     h: Hypergraph, n: int
 ) -> Optional[tuple[RowSelection, PartitionSystem]]:
@@ -216,15 +283,13 @@ def paper_coloring(
     make the same picks and tests as its search for ``n - 1`` rows (``n >= 2``,
     as contexts have two vertices or more) in a table of those states alone.
     So a find there, with row 1 in front, is the whole table's find, numbered
-    by canonical ranks (:class:`ohg.states.CanonicalRows`), and a stop at the
+    by canonical ranks (:class:`CanonicalRows`), and a stop at the
     work budget there is a stop on the whole table too. Only ``None`` leaves
     the answer to the whole table, whose find then does not contain row 1.
     """
-    from . import states
-
     if n < 1:
         raise OhgError("the number of colors must be positive")
-    order = states.CanonicalRows(h)
+    order = CanonicalRows(h)
     states.check_row_budget(order.nts)
     if not order.nts or any(len(c) != n for c in h.contexts):
         return None
@@ -272,9 +337,7 @@ def color_to_state(coloring: Coloring, color: int) -> TwoValuedState:
             raise NotAStateError(
                 f"color {color} meets context {sorted(ctx)!r} {hits} times"
             )
-    from .states import TwoValuedState
-
-    return TwoValuedState(h.vertices, members)
+    return states.TwoValuedState(h.vertices, members)
 
 
 def relaxed_coloring(

@@ -20,11 +20,22 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _fill(color: int, n: int) -> str:
+    """The fill of colour ``color`` of ``1..n``: a named colour for the
+    first 16, then ``n - 16`` evenly spaced pale hues as Graphviz "H S V"
+    strings, so that no two colour classes share a fill."""
+    extra = color - 1 - len(_DOT_PALETTE)
+    if extra < 0:
+        return _DOT_PALETTE[color - 1]
+    return f"{extra / (n - len(_DOT_PALETTE)):.6f} 0.400 1.000"
+
+
 def dot_structure(h: Hypergraph, fills: Optional[dict[str, int]] = None) -> str:
     lines = ["graph hypergraph {", "  node [shape=circle];"]
+    n = max((fills or {}).values(), default=0)
     for v in h.vertices:
         if fills and v in fills:
-            color = _DOT_PALETTE[(fills[v] - 1) % len(_DOT_PALETTE)]
+            color = _fill(fills[v], n)
             lines.append(f'  {_quote(v)} [style=filled, fillcolor="{color}"];')
         else:
             lines.append(f"  {_quote(v)};")

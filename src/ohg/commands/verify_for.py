@@ -15,10 +15,9 @@ ARGUMENTS = {
 
 def run(args) -> int:
     from .. import geometry
-    from ..formats import parse_vectors
 
     h = _load_hypergraph(args.file)
-    labeling = parse_vectors(_read(args.vectors))
+    labeling = geometry.parse_vectors(_read(args.vectors))
     tol = geometry.DEFAULT_TOLERANCE if args.tol is None else args.tol
     report = geometry.verify_for(h, labeling, tol=tol)
     if args.format == "json":

@@ -8,6 +8,9 @@ vertex: ``name: c1 c2 ... cn``.
 
 The hypergraph parser, :func:`parse_ohg`, is :mod:`ohg.model`'s, re-exported
 here: a command that only reads a hypergraph loads it without this module.
+The vector parser and writer, :func:`parse_vectors` and
+:func:`write_vectors`, are :mod:`ohg.geometry`'s, next to the check that
+reads the labeling; their names are bound here on first use.
 
 Writers emit a canonical form (context members in vertex declaration order),
 so canonical files round-trip byte-identically modulo comments.
@@ -24,12 +27,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
+from . import _lazy
 from .errors import ParseError
 from .model import Hypergraph, _content_lines, parse_ohg  # noqa: F401 (re-exported)
 
 if TYPE_CHECKING:
-    from .geometry import VectorLabeling
     from .states import TravisMatrix
+
+__getattr__ = _lazy(globals(), {"parse_vectors": "geometry", "write_vectors": "geometry"})
 
 
 def write_ohg(h: Hypergraph) -> str:
@@ -104,38 +109,3 @@ def matrix_chunks(t: TravisMatrix) -> Iterator[str]:
 
     for start in range(0, max(t.n_rows, 1), _WRITE_BLOCK):
         yield write_matrix(t, start, start + _WRITE_BLOCK)
-
-
-def parse_vectors(text: str) -> VectorLabeling:
-    from .geometry import VectorLabeling
-
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("vector file is empty")
-    vectors: dict[str, tuple[float, ...]] = {}
-    dim = None
-    for line in lines:
-        if ":" not in line:
-            raise ParseError(f'vector line needs "name: components": {line!r}')
-        name, _, rest = line.partition(":")
-        name = name.strip()
-        try:
-            comps = tuple(float(x) for x in rest.split())
-        except ValueError:
-            raise ParseError(f"vector components must be reals: {line!r}") from None
-        if not name or not comps:
-            raise ParseError(f"vector line needs a name and components: {line!r}")
-        if dim is None:
-            dim = len(comps)
-        if name in vectors:
-            raise ParseError(f"vertex {name!r} labeled twice")
-        vectors[name] = comps
-    return VectorLabeling(dim, vectors)
-
-
-def write_vectors(labeling: VectorLabeling) -> str:
-    out = []
-    for name in sorted(labeling.vectors):
-        comps = " ".join(repr(c) for c in labeling.vectors[name])
-        out.append(f"{name}: {comps}")
-    return "\n".join(out) + "\n"

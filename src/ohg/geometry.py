@@ -5,14 +5,19 @@ exactly with orthogonality and no two vectors are colinear. This is the only
 numerically continuous check in the package; inner products use compensated
 summation and vectors are normalized before testing, so global rotations and
 per-vector scalings cannot change a report.
+
+The vector file, one line per vertex (``name: c1 c2 ... cn``), is read and
+written here (:func:`parse_vectors`, :func:`write_vectors`), so that
+``ohg verify-for`` loads no other file format; :mod:`ohg.formats` binds both
+names on first use.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DimensionMismatchError, MissingVertexError, OhgError
-from .model import Hypergraph, record
+from .errors import DimensionMismatchError, MissingVertexError, OhgError, ParseError
+from .model import Hypergraph, _content_lines, record
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -107,3 +112,36 @@ def verify_for(
     return ForReport(
         tuple(bad_adjacent), tuple(bad_non_adjacent), tuple(colinear)
     )
+
+
+def parse_vectors(text: str) -> VectorLabeling:
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("vector file is empty")
+    vectors: dict[str, tuple[float, ...]] = {}
+    dim = None
+    for line in lines:
+        if ":" not in line:
+            raise ParseError(f'vector line needs "name: components": {line!r}')
+        name, _, rest = line.partition(":")
+        name = name.strip()
+        try:
+            comps = tuple(float(x) for x in rest.split())
+        except ValueError:
+            raise ParseError(f"vector components must be reals: {line!r}") from None
+        if not name or not comps:
+            raise ParseError(f"vector line needs a name and components: {line!r}")
+        if dim is None:
+            dim = len(comps)
+        if name in vectors:
+            raise ParseError(f"vertex {name!r} labeled twice")
+        vectors[name] = comps
+    return VectorLabeling(dim, vectors)
+
+
+def write_vectors(labeling: VectorLabeling) -> str:
+    out = []
+    for name in sorted(labeling.vectors):
+        comps = " ".join(repr(c) for c in labeling.vectors[name])
+        out.append(f"{name}: {comps}")
+    return "\n".join(out) + "\n"

@@ -4,9 +4,10 @@ co-truth counts: the true-implies-false and true-implies-true pairs
 (:func:`gadget_profile`).
 
 Both take a state table or the co-truth counts of
-:func:`~ohg.pairwise.cotruth`. :mod:`ohg.states` re-exports these names, so
-``ohg.states.gadget_scan`` is ``ohg.gadget_scan``; the gadget compositions
-load this module without the table code.
+:func:`~ohg.pairwise.cotruth`. :mod:`ohg.states` binds these names on first
+use, so ``ohg.states.gadget_scan`` is ``ohg.gadget_scan``, and the tables
+load without this module; the gadget compositions load it without the
+table code.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ either form.
 
 This is the part of the state analyses that ``classify``, ``reconstruct``
 and the gadget compositions run; :mod:`ohg.states` holds the tables and
-re-exports these names, so ``ohg.states.cotruth`` is ``ohg.cotruth``.
+binds these names on first use, so ``ohg.states.cotruth`` is
+``ohg.cotruth``, and the tables load without this module.
 """
 
 from __future__ import annotations

@@ -9,12 +9,9 @@ gadget scans and profiles, reconstruction by the adjacency criterion) need
 nothing else, so they run without a state table, on the 378-vertex binding
 too. Only row-level work enumerates: the state matrix, the relaxed colouring
 and, only as a fallback, the paper's row selection. Enumeration counts the
-trace first and refuses a table above :data:`ROW_BUDGET` rows.
-
-Counts under a fixed prefix of the columns place a state in the canonical row
-order without the table (:class:`CanonicalRows`): the first row, the rank of
-any state, and the states disjoint from a given one, which is all the paper's
-row selection needs when its find starts with row 1.
+trace first and refuses a table above :data:`ROW_BUDGET` rows. It imports
+the engine when it runs, so that a table read from a file or a fixture
+loads no search.
 
 Pairwise co-truth counts have one form, from a table
 (:attr:`TravisMatrix.cooc`) or from the trace (:func:`cotruth`): a
@@ -23,8 +20,11 @@ counts of the 378-vertex binding pass 2**63. The co-truth counts and the
 analyses read from them live apart, so that the commands that need only
 those do not load the table code: :func:`cotruth` and :func:`classify` in
 :mod:`ohg.pairwise`, :func:`gadget_scan` and :func:`gadget_profile` in
-:mod:`ohg.implications`. This module re-exports them. The package needs
-nothing beyond the standard library.
+:mod:`ohg.implications`. Those names, :func:`count_states` and the
+canonical row order without the table (:class:`ohg.coloring.CanonicalRows`)
+are bound here on first use, so that ``ohg.states.cotruth is ohg.cotruth``
+while the table code loads none of their modules. The package needs nothing
+beyond the standard library.
 
 Bit conventions: the engine works on :mod:`ohg.model`'s masks, bit ``i`` =
 vertex ``i``, taken from :attr:`Hypergraph.context_masks` and
@@ -43,22 +43,18 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
-from .engine import _Problem, count, count_states  # noqa: F401 (re-exported)
+from . import _lazy
 from .errors import RowLimitExceededError
-from .implications import (  # noqa: F401 (re-exported)
-    GadgetProfile,
-    GadgetScan,
-    gadget_profile,
-    gadget_scan,
-)
-from .model import Hypergraph, _bits, record
-from .pairwise import (  # noqa: F401 (re-exported)
-    CoTruth,
-    StateClassification,
-    _diagonal,
-    classify,
-    cotruth,
-)
+from .model import Hypergraph, record
+
+__getattr__ = _lazy(globals(), {
+    "count_states": "engine",
+    "CoTruth": "pairwise", "StateClassification": "pairwise",
+    "classify": "pairwise", "cotruth": "pairwise",
+    "GadgetProfile": "implications", "GadgetScan": "implications",
+    "gadget_profile": "implications", "gadget_scan": "implications",
+    "CanonicalRows": "coloring",
+})
 
 # Rows per block for TravisMatrix.cooc: 65536 rows x 108 columns is 0.9 MB
 _COOC_BLOCK = 65536
@@ -169,6 +165,8 @@ class TravisMatrix:
 
     @property
     def column_sums(self) -> tuple[int, ...]:
+        from .pairwise import _diagonal
+
         return _diagonal(self.cooc)
 
     @classmethod
@@ -290,69 +288,6 @@ def check_row_budget(n: int, *, row_limit: Optional[int] = None) -> None:
         )
 
 
-class CanonicalRows:
-    """The canonical row order of a hypergraph's states, without the table.
-
-    Row ``r`` of :func:`enumerate_states` is the ``r``-th state in that
-    order: by the first column, 1 before 0, then by the second, and so on.
-    Rows here are ints in reading order, as in :class:`TravisMatrix`. Each
-    answer comes from counts of the states that agree with a prefix of the
-    columns (:meth:`count`), each a pass over one trace of the search. A
-    state is true on a vertex exactly when it is false on all the vertex's
-    neighbours, so every question is one of states false on a set of
-    vertices.
-    """
-
-    def __init__(self, h: Hypergraph):
-        self._nbr = h.neighbor_masks
-        self._trace = _Problem(h).trace()
-        self._k = len(h.vertices)
-        #: the number of states, the table's row count
-        self.nts = count(self._trace)
-
-    def count(self, ones: int = 0, zeros: int = 0) -> int:
-        """Number of states true on the vertices of ``ones`` and false on
-        those of ``zeros``, both masks in :mod:`ohg.model`'s order (bit ``i``
-        = vertex ``i``)."""
-        for v in _bits(ones):
-            zeros |= self._nbr[v]
-        # a vertex both true and false, or two adjacent true ones: no state
-        return 0 if ones & zeros else count(self._trace, zeros)
-
-    def first(self) -> int:
-        """Row 1, the largest state: column by column, 1 wherever some state
-        agrees with the columns before it and has 1 there. Needs a state."""
-        ones = zeros = 0
-        for v in range(self._k):
-            if self.count(ones | 1 << v, zeros):
-                ones |= 1 << v
-            else:
-                zeros |= 1 << v
-        return _mirror(ones, self._k)
-
-    def rank(self, row: int) -> int:
-        """The 1-based index of the state ``row`` in the canonical table: one
-        more than the number of states that agree with it up to some column
-        where it has 0 and they have 1."""
-        state = _mirror(row, self._k)
-        rank = 1
-        ones = zeros = 0
-        for v in range(self._k):
-            if state >> v & 1:
-                ones |= 1 << v
-            else:
-                rank += self.count(ones | 1 << v, zeros)
-                zeros |= 1 << v
-        return rank
-
-    def disjoint(self, row: int) -> list[int]:
-        """The states false on every vertex ``row`` makes true, in canonical
-        order."""
-        rows = _rows(self._trace, self._k, _mirror(row, self._k))
-        rows.sort(reverse=True)
-        return rows
-
-
 def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> TravisMatrix:
     """All two-valued states of ``h`` as a canonically ordered matrix.
 
@@ -363,6 +298,8 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     any row is built. Use :func:`count_states` when only the number is needed
     and :func:`cotruth` when only the pairwise counts are.
     """
+    from .engine import _Problem, count
+
     trace = _Problem(h).trace()
     check_row_budget(count(trace), row_limit=row_limit)
     rows = _rows(trace, len(h.vertices))

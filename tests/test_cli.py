@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohg import engine, gadgets, model, states
-from ohg.cli import _COMMANDS, _build_parser, _command, _read_args, main
+from ohg.cli import _COMMANDS, _command, _read_args, main
+from ohg.commands._dot import _DOT_PALETTE
+from ohg.commands._parser import build_parser
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
 from conftest import child_options, disjoint_union, ohg_argv, run_ohg
@@ -369,6 +371,16 @@ class TestColor:
                            "--format", "dot")
         assert code == 0
         assert out.startswith("graph ") and "fillcolor" in out
+
+    def test_dot_fills_every_colour_apart(self, capsys, tmp_path):
+        # one context of 17 vertices takes 17 colours, one per vertex; past
+        # the 16 named fills, each colour gets its own
+        path = tmp_path / "k17.ohg"
+        path.write_text(" ".join(f"x{i}" for i in range(17)) + "\n")
+        code, out, _ = run(capsys, "color", str(path), "--n", "17", "--format", "dot")
+        fills = re.findall(r'fillcolor="([^"]*)"', out)
+        assert code == 0 and len(set(fills)) == len(fills) == 17
+        assert fills[:16] == list(_DOT_PALETTE)
 
     @pytest.mark.parametrize("algorithm", ["paper", "relaxed", "exact"])
     @pytest.mark.parametrize("n", ["0", "-1"])
@@ -727,28 +739,28 @@ class TestParser:
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_builds_only_the_named_subcommand(self, name):
-        assert list(built(_build_parser([name, "--help"]))) == [name]
+        assert list(built(build_parser([name, "--help"]))) == [name]
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_help(self, capsys, name):
         argv = [name, "--help"]
-        full = parse(_build_parser([]), argv, capsys)
+        full = parse(build_parser([]), argv, capsys)
         assert full[0] == 0 and full[1].startswith(f"usage: ohg {name} ")
-        assert parse(_build_parser(argv), argv, capsys) == full
+        assert parse(build_parser(argv), argv, capsys) == full
 
     def test_usage_errors_cover_every_subcommand(self):
         assert {argv[0] for argv in USAGE_ERRORS} == set(_COMMANDS)
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
     def test_usage_error(self, capsys, argv):
-        full = parse(_build_parser([]), list(argv), capsys)
+        full = parse(build_parser([]), list(argv), capsys)
         assert full[0] == 2 and full[1] == "" and "error:" in full[2]
-        assert parse(_build_parser(list(argv)), list(argv), capsys) == full
+        assert parse(build_parser(list(argv)), list(argv), capsys) == full
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"]],
                              ids=lambda a: " ".join(a) or "bare")
     def test_top_level_lists_every_subcommand(self, capsys, argv):
-        parser = _build_parser(argv)
+        parser = build_parser(argv)
         assert list(built(parser)) == list(_COMMANDS)
         code, out, err = parse(parser, argv, capsys)
         assert code == (0 if argv == ["--help"] else 2)
@@ -757,7 +769,7 @@ class TestParser:
     def test_console_script(self, capsys):
         # run as a program, main() reads its arguments from sys.argv
         result = run_ohg("color", "f.ohg")
-        full = parse(_build_parser([]), ["color", "f.ohg"], capsys)
+        full = parse(build_parser([]), ["color", "f.ohg"], capsys)
         assert (result.returncode, result.stdout, result.stderr) == full
 
 
@@ -773,7 +785,7 @@ def parsed_quietly(argv):
     """``vars()`` of the parser's namespace, or ``None`` where it exits."""
     with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
         try:
-            return _build_parser(argv).parse_args(argv)
+            return build_parser(argv).parse_args(argv)
         except SystemExit:
             return None
 

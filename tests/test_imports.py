@@ -7,9 +7,10 @@ of the watched modules were loaded before and after it: numpy, never;
 ``json``, only for JSON output; the colouring,
 chromatic, clique, co-truth, reconstruction and geometry modules only for the
 commands that call them; the counting engine, ``ohg.engine``, only where
-states are counted, listed or parsed; the table code, ``ohg.states``, only
-where a table is built or parsed; ``ohg.catalogue`` only for the commands
-that name fixtures, and ``ohg.gadgets`` only for those that build gadgets.
+states are counted or listed; the table code, ``ohg.states``, only where a
+table is built or parsed, and without the modules whose names it binds on
+first use; ``ohg.catalogue`` only for the commands that name fixtures, and
+``ohg.gadgets`` only for those that build gadgets.
 Each command loads its own module under ``ohg.commands`` and no other
 subcommand's; only ``reconstruct`` loads core's graph algorithms; and the
 modules a command loads hold no more than a fixed number of AST nodes, which
@@ -19,6 +20,7 @@ every run compiles where no bytecode cache is written.
 import ast
 import builtins
 import importlib.util
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -28,7 +30,8 @@ import pytest
 
 import ohg
 from ohg import (bindcount, catalogue, chromatic, cliques, coloring, core, engine,
-                 formats, gadgets, implications, model, pairwise, reconstruction, states)
+                 formats, gadgets, geometry, implications, model, pairwise, reconstruction,
+                 states)
 from ohg.formats import write_ohg
 
 from conftest import child_options
@@ -129,11 +132,14 @@ def test_import_ohg_loads_no_submodule():
     assert result.stdout == "[]\nohg.states ohg.engine\n"
 
 
-# Each name moved out of a module is imported back into it, by the module it
-# moved to and the module it left.
+# Each name moved out of a module is imported back into it, or bound there on
+# first use, by the module it moved to and the module it left.
 _MOVED = [
     (pairwise, states, "classify cotruth"),
     (implications, states, "gadget_profile gadget_scan"),
+    (engine, states, "count_states"),
+    (coloring, states, "CanonicalRows"),
+    (geometry, formats, "parse_vectors write_vectors"),
     (chromatic, coloring, "brooks_bound exact_chromatic exact_coloring"),
     (cliques, core, "shape"),
     (catalogue, gadgets, "fixture"),
@@ -155,7 +161,9 @@ def test_count_states_is_one_function():
     assert formats.parse_ohg is model.parse_ohg
     for home, old, names in _MOVED:
         for name in names.split():
-            assert getattr(home, name) is getattr(old, name) is getattr(ohg, name), name
+            assert getattr(home, name) is getattr(old, name), name
+            if name in ohg.__all__:
+                assert getattr(ohg, name) is getattr(home, name), name
 
 
 def test_model_objects_are_one_object():
@@ -164,6 +172,38 @@ def test_model_objects_are_one_object():
     for home, old, names in _MOVED_OBJECTS:
         for name in names.split():
             assert getattr(home, name) is getattr(old, name) is getattr(ohg, name), name
+
+
+def test_import_states_loads_no_module_it_binds_on_first_use():
+    child = ("import sys, ohg.states; "
+             "print(sorted(m for m in sys.modules if m.startswith('ohg.')))")
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                            text=True, timeout=60, **child_options())
+    assert result.returncode == 0, result.stderr
+    loaded = set(ast.literal_eval(result.stdout))
+    assert "ohg.states" in loaded
+    assert loaded & {"ohg.pairwise", "ohg.implications", "ohg.engine"} == set()
+
+
+def test_states_needs_no_name_it_binds_on_first_use():
+    # A module's ``__getattr__`` serves attribute access, not the global
+    # lookups of the module's own functions: a function of ``ohg.states``
+    # that read a name bound on first use would raise NameError here.
+    child = ("import ohg.states; "
+             "t = ohg.states.TravisMatrix.from_bit_rows('abc', [(1, 0, 0), (0, 1, 1)]); "
+             "print(t.column_sums, t.cooc)")
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                            text=True, timeout=60, **child_options())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(1, 1, 1) ((1, 0, 0), (0, 1, 1), (0, 1, 1))\n"
+
+
+@pytest.mark.parametrize("module", [states, formats], ids=lambda m: m.__name__)
+def test_unknown_name_of_a_lazy_module_is_an_attribute_error(module):
+    assert not hasattr(module, "no_such_name")
+    message = f"module {module.__name__!r} has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=re.escape(message)):
+        module.no_such_name
 
 
 _REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
@@ -276,10 +316,10 @@ def test_commands_load_only_what_they_run(paths, args, loads):
 # and the binding's closed form (``ohg.bindcount``) without the compositions.
 @pytest.mark.parametrize("args, loads", [
     (("states", "{bug}", "--count-only"), set()),
-    (("states", "{bug}"), {"ohg.pairwise", "ohg.implications"}),
+    (("states", "{bug}"), set()),
     (("count", "--na", "3", "--nb", "3", "--nn", "8"), {"ohg.bindcount"}),
     (("gadget", "bug"), {"ohg.catalogue"}),
-    (("gadget", "bug", "--travis"), {"ohg.catalogue", "ohg.pairwise", "ohg.implications"}),
+    (("gadget", "bug", "--travis"), {"ohg.catalogue"}),
     (("compose", "layer", "{bug}", "--head", "v1", "--tail", "v7"),
      {"ohg.catalogue", "ohg.bindcount", "ohg.pairwise", "ohg.implications"}),
     (("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
@@ -287,8 +327,7 @@ def test_commands_load_only_what_they_run(paths, args, loads):
     (("export", "{bug}", "--format", "json"), set()),
     (("classify", "{bug}"), {"ohg.pairwise", "ohg.cliques", "ohg.chromatic"}),
     (("reconstruct", "{bug}"), {"ohg.pairwise", "ohg.cliques"}),
-    (("color", "{bug}", "--n", "3"),
-     {"ohg.pairwise", "ohg.implications", "ohg.cliques", "ohg.chromatic"}),
+    (("color", "{bug}", "--n", "3"), {"ohg.cliques", "ohg.chromatic"}),
     (("color", "{bug}", "--n", "3", "--algorithm", "exact"), {"ohg.cliques", "ohg.chromatic"}),
     (("chroma", "{bug}"), {"ohg.cliques", "ohg.chromatic"}),
     (("verify-for", "{pentagon}", "{pentagon_vec}"), set()),
@@ -300,12 +339,13 @@ def test_commands_load_split_modules_only_to_use_them(paths, args, loads):
     assert after == loads
 
 
-# The counting engine, ``ohg.engine``, loads only where states are counted,
-# listed or parsed: not to print a fixture's hypergraph, nor to colour exactly.
+# The counting engine, ``ohg.engine``, loads only where states are counted or
+# listed: not to print a fixture's hypergraph or state table, nor to colour
+# exactly.
 @pytest.mark.parametrize("args, loads", [
     (("gadget", "bug"), False),
     (("gadget", "k3"), False),
-    (("gadget", "bug", "--travis"), True),
+    (("gadget", "bug", "--travis"), False),
     (("chroma", "{bug}"), False),
     (("chroma", "{bug}", "--brooks"), False),
     (("color", "{bug}", "--n", "3", "--algorithm", "exact"), False),
@@ -339,7 +379,7 @@ def test_commands_load_the_engine_only_to_use_it(paths, args, loads):
     (("verify-for", "{pentagon}", "{pentagon_vec}"), set()),
     (("export", "{bug}", "--format", "json"), set()),
     (("gadget", "bug"), set()),
-    (("gadget", "bug", "--travis"), {"ohg.engine", "ohg.states"}),
+    (("gadget", "bug", "--travis"), {"ohg.states"}),
     (("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
      {"ohg.gadgets", "ohg.engine"}),
     (("count", "--na", "3", "--nb", "3", "--nn", "8"), set()),
@@ -358,7 +398,7 @@ def test_commands_load_tables_and_gadgets_only_to_use_them(paths, args, loads):
 _ENTRY = {"ohg.cli", "ohg.errors", "ohg.commands"}
 _MODEL = {"ohg.model"}
 _COTRUTH = _MODEL | {"ohg.engine", "ohg.pairwise"}
-_TABLE = _COTRUTH | {"ohg.implications", "ohg.states"}
+_TABLE = _MODEL | {"ohg.engine", "ohg.states"}
 _CHI = _MODEL | {"ohg.cliques", "ohg.chromatic"}
 _GADGETS = _COTRUTH | {"ohg.implications", "ohg.formats", "ohg.catalogue", "ohg.bindcount",
                        "ohg.gadgets"}
@@ -375,7 +415,7 @@ _GADGETS = _COTRUTH | {"ohg.implications", "ohg.formats", "ohg.catalogue", "ohg.
      {"ohg.bindcount"}),
     (("gadget", "bug"), _MODEL | {"ohg.formats", "ohg.catalogue"}),
     (("gadget", "k3"), _MODEL | {"ohg.formats", "ohg.catalogue"}),
-    (("gadget", "bug", "--travis"), _TABLE | {"ohg.formats", "ohg.catalogue"}),
+    (("gadget", "bug", "--travis"), _MODEL | {"ohg.states", "ohg.formats", "ohg.catalogue"}),
     (("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
      _GADGETS | {"ohg.cliques"}),
     (("export", "{bug}", "--format", "dot"), _MODEL | {"ohg.commands._dot"}),
@@ -390,14 +430,14 @@ _GADGETS = _COTRUTH | {"ohg.implications", "ohg.formats", "ohg.catalogue", "ohg.
     (("chroma", "{bug}"), _CHI),
     (("chroma", "{bug}", "--brooks"), _CHI),
     (("chroma", "{bug}", "--format", "json"), _CHI),
-    (("verify-for", "{pentagon}", "{pentagon_vec}"), _MODEL | {"ohg.formats", "ohg.geometry"}),
+    (("verify-for", "{pentagon}", "{pentagon_vec}"), _MODEL | {"ohg.geometry"}),
     (("compose", "layer", "{bug}", "--head", "v1", "--tail", "v7"), _GADGETS),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_commands_load_exactly_these_modules(paths, args, loads):
     before, after, code = probe(*(a.format(**paths) for a in args), watched=(),
                                 package=True)
     assert code == 0
-    assert before == {"ohg.cli", "ohg.errors"}
+    assert before == _ENTRY
     assert after == _ENTRY | {"ohg.commands." + args[0].replace("-", "_")} | loads
 
 
@@ -410,13 +450,20 @@ def _ast_nodes(modules: set[str]) -> int:
 
 # Counted as above before the library modules that these commands share were
 # split (13,043 / 8,336 / 11,026 / 13,225 / 4,416 nodes): classify and chroma
-# at most 60% of that, reconstruct 75%, color 90%, a bare count no more.
+# at most 60% of that, reconstruct 75%, color 90%, a bare count no more. The
+# export commands at their counts once ``ohg.states`` and ``ohg.formats``
+# bound the names that moved out of them on first use (8,053 / 7,522 / 8,022
+# / 3,903 nodes before).
 @pytest.mark.parametrize("args, ceiling", [
     (("classify", "{bug}"), 7825),
     (("chroma", "{bug}"), 5001),
     (("reconstruct", "{bug}"), 8269),
     (("color", "{bug}", "--n", "3"), 11902),
     (("states", "{bug}", "--count-only"), 4416),
+    (("states", "{bug}", "--out", "{matrix}"), 6003),
+    (("states", "{bug}", "--format", "json"), 5725),
+    (("gadget", "bug", "--travis"), 4765),
+    (("verify-for", "{pentagon}", "{pentagon_vec}"), 3250),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_commands_compile_at_most(paths, args, ceiling):
     _, after, code = probe(*(a.format(**paths) for a in args), watched=(), package=True)
