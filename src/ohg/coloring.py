@@ -15,7 +15,8 @@ whole table whenever that find starts with row 1; the rows are then numbered
 by their canonical ranks. Counts under a fixed prefix of the columns place a
 state in the canonical order without the table (:class:`CanonicalRows`):
 the first row, the rank of any state, and the states disjoint from a given
-one. Only when that search finds nothing does the whole table decide.
+one. A 2-section with chromatic number above n has no such rows at all;
+otherwise, only when that search finds nothing does the whole table decide.
 
 The chromatic number needs no table; :class:`Coloring`,
 :func:`exact_coloring`, :func:`exact_chromatic` and :func:`brooks_bound` are
@@ -42,7 +43,7 @@ from .errors import (
     OhgError,
     SizeLimitError,
 )
-from .engine import _Problem, count
+from .engine import count, search
 from .model import Hypergraph, _bits, record
 
 if TYPE_CHECKING:
@@ -208,14 +209,15 @@ class CanonicalRows:
     so on. Rows here are ints in reading order, as in
     :class:`~ohg.states.TravisMatrix`. Each answer comes from counts of the
     states that agree with a prefix of the columns (:meth:`count`), each a
-    pass over one trace of the search. A state is true on a vertex exactly
-    when it is false on all the vertex's neighbours, so every question is
-    one of states false on a set of vertices.
+    pass over one trace of the search (:func:`ohg.engine.search`). A state
+    is true on a vertex exactly when it is false on all the vertex's
+    neighbours, so every question is one of states false on a set of
+    vertices.
     """
 
     def __init__(self, h: Hypergraph):
         self._nbr = h.neighbor_masks
-        self._trace = _Problem(h).trace()
+        self._trace = search(h)
         self._k = len(h.vertices)
         #: the number of states, the table's row count
         self.nts = count(self._trace)
@@ -275,7 +277,11 @@ def paper_coloring(
     table. A state is true on one vertex of each context, so ``n`` pairwise
     disjoint states cover exactly ``n`` vertices of every context: they
     partition the vertices only if every context has ``n``, and otherwise
-    the answer is ``None`` at once.
+    the answer is ``None`` at once. With every context of ``n`` vertices,
+    ``n`` disjoint states are the colour classes of a proper ``n``-colouring
+    of the 2-section, so the answer is ``None`` too when
+    :func:`exact_chromatic` exceeds ``n``; a stop of that search at its
+    budget leaves the question to the rows.
 
     The table is built only as a fallback. On the whole table,
     :func:`algorithm1` picks row 1 first. While that pick stands, its levels
@@ -293,6 +299,11 @@ def paper_coloring(
     states.check_row_budget(order.nts)
     if not order.nts or any(len(c) != n for c in h.contexts):
         return None
+    try:
+        if exact_chromatic(h) > n:
+            return None
+    except SizeLimitError:
+        pass
     first = order.first()
     rest = states.TravisMatrix(h.vertices, tuple(order.disjoint(first)))
     found = algorithm1(rest, n - 1)

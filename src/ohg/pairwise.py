@@ -2,11 +2,11 @@
 verdicts read from them.
 
 :func:`cotruth` counts, without a state table, how many states make each
-vertex true and each pair of vertices true together. It runs the search of
-:mod:`ohg.engine` once and reads the counts off its trace: one pass up and
-one down per vertex (:func:`_true_counts`). The counts have one form, from
-the trace or from a table (:attr:`ohg.states.TravisMatrix.cooc`): a
-``k``-tuple of ``k``-tuples of exact Python ints, ``cooc[i][j]``, with the
+vertex true and each pair of vertices true together. It runs the search
+(:func:`ohg.engine.search`) once and reads the counts off its trace: one
+pass up and one down per vertex (:func:`_true_counts`). The counts have one
+form, from the trace or from a table (:attr:`ohg.states.TravisMatrix.cooc`):
+a ``k``-tuple of ``k``-tuples of exact Python ints, ``cooc[i][j]``, with the
 column sums on the diagonal, since the counts of the 378-vertex binding pass
 2**63. :func:`classify` reads unitality and the separability ladder from
 either form.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .engine import _Problem, count, part_counts
+from .engine import count, part_counts, search
 from .errors import ColumnCountMismatchError
 from .model import Hypergraph, _bits, record
 
@@ -129,7 +129,7 @@ def cotruth(h: Hypergraph) -> CoTruth:
     for entry.
     """
     k = len(h.vertices)
-    trace = _Problem(h).trace()
+    trace = search(h)
     nodes = [[(forced, subs, tuple(_bits(forced))) for forced, subs in part]
              for part in trace]
     return CoTruth(h.vertices, count(trace),

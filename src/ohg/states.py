@@ -1,7 +1,7 @@
 """Two-valued state tables and the analyses over them.
 
-The search of :mod:`ohg.engine` returns its trace, one list of parts with
-the root last, and each answer is a loop over it: plain counts
+The search (:func:`ohg.engine.search`) returns its trace, one list of parts
+with the root last, and each answer is a loop over it: plain counts
 (:func:`count_states`, the engine's), per-vertex true counts and pairwise
 co-truth counts (:func:`cotruth`, in :mod:`ohg.pairwise`), or the rows
 themselves (:func:`enumerate_states`). The pairwise analyses (classification,
@@ -298,9 +298,9 @@ def enumerate_states(h: Hypergraph, *, row_limit: Optional[int] = None) -> Travi
     any row is built. Use :func:`count_states` when only the number is needed
     and :func:`cotruth` when only the pairwise counts are.
     """
-    from .engine import _Problem, count
+    from .engine import count, search
 
-    trace = _Problem(h).trace()
+    trace = search(h)
     check_row_budget(count(trace), row_limit=row_limit)
     rows = _rows(trace, len(h.vertices))
     rows.sort(reverse=True)

@@ -269,15 +269,19 @@ class TestPaperColoring:
         with pytest.raises(RowLimitExceededError, match="row budget of 13"):
             paper_coloring(bug, 3)
 
-    @pytest.mark.parametrize("name, table", [("bug", False), ("g32", True)])
+    @pytest.mark.parametrize("name, table", [("bug", False), ("pasting202", True)])
     def test_table_only_as_fallback(self, monkeypatch, name, table):
-        # g32 has no three disjoint states, so no find starts with row 1
+        # the find of random_pasting(Random(202), size=4) does not start with
+        # row 1 (test_find_without_row_one), so only the whole table finds it
         built = []
         enumerate_states = states.enumerate_states
         monkeypatch.setattr(states, "enumerate_states",
                             lambda h: built.append(h) or enumerate_states(h))
-        h = gadgets.fixture(name).hypergraph
-        paper_coloring(h, 3)
+        if name == "bug":
+            h, n = gadgets.fixture(name).hypergraph, 3
+        else:
+            h, n = random_pasting(random.Random(202), size=4), 4
+        assert paper_coloring(h, n) is not None
         assert bool(built) == table
 
     def test_stop_while_row_one_stands(self, bind_bug, monkeypatch):

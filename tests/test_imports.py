@@ -301,6 +301,10 @@ def test_unknown_name_is_an_attribute_error():
     (("color", "{bug}", "--n", "3"), {"ohg.coloring"}),
     (("chroma", "{bug}", "--format", "json"), {"json"}),
     (("verify-for", "{pentagon}", "{pentagon_vec}"), {"ohg.geometry"}),
+    (("chroma", "{bug}"), set()),
+    (("color", "{bug}", "--n", "3", "--algorithm", "paper"), {"ohg.coloring"}),
+    (("color", "{bug}", "--n", "3", "--algorithm", "relaxed"), {"ohg.coloring"}),
+    (("color", "{bug}", "--n", "3", "--algorithm", "exact"), set()),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "-".join(sorted(v)) or "none")
 def test_commands_load_only_what_they_run(paths, args, loads):
     before, after, code = probe(*(a.format(**paths) for a in args))
