@@ -123,7 +123,7 @@ def parse_vectors(text: str) -> VectorLabeling:
     for line in lines:
         if ":" not in line:
             raise ParseError(f'vector line needs "name: components": {line!r}')
-        name, _, rest = line.partition(":")
+        name, _, rest = line.rpartition(":")
         name = name.strip()
         try:
             comps = tuple(float(x) for x in rest.split())

@@ -615,6 +615,17 @@ class TestVerifyFor:
         code, out, _ = run(capsys, "verify-for", str(ohg_path), str(vec_path))
         assert code == 0 and "valid" in out
 
+    def test_composed_hypergraph(self, capsys, tmp_path, bug_file):
+        # its vertices are named ``g1:v2``, which the vector file must read back
+        _, out, _ = run(capsys, "compose", "layer", bug_file, "--head", "v1", "--tail", "v7")
+        ohg_path = tmp_path / "layer.ohg"
+        ohg_path.write_text(out)
+        vec_path = tmp_path / "layer.vec"
+        vec_path.write_text("".join(f"{v}: 1 0 0\n" for v in parse_ohg(out).vertices))
+        code, out, _ = run(capsys, "verify-for", str(ohg_path), str(vec_path))
+        assert code == 1
+        assert "adjacent but not orthogonal: g1:" in out
+
     @pytest.mark.parametrize("vector", ["nan nan nan", "inf 0 0"])
     def test_non_finite_vector_is_refused(self, capsys, tmp_path, vector):
         ohg_path = tmp_path / "k3.ohg"

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from ohg import core
+from ohg import core, gadgets
 from ohg.errors import DimensionMismatchError, MissingVertexError, OhgError
-from ohg.geometry import VectorLabeling, verify_for
+from ohg.geometry import VectorLabeling, parse_vectors, verify_for, write_vectors
 
 K3_BASIS = VectorLabeling(3, {
     "a": (1.0, 0.0, 0.0),
@@ -191,3 +191,14 @@ class TestErrors:
         for tol in (0.0, -1e-9, math.nan, math.inf, 0.5, 0.75):
             with pytest.raises(OhgError, match="tolerance"):
                 verify_for(k3, K3_BASIS, tol=tol)
+
+
+class TestVectorFile:
+    def test_round_trip_over_composed_names(self, bind_bug):
+        # composed vertices are named ``g1:v2``, so a line splits at its last colon
+        lay = gadgets.layer(gadgets.BindSpec(gadgets.fixture("bug").hypergraph, "v1", "v7"))
+        for h in (lay, bind_bug):
+            assert any(":" in v for v in h.vertices)
+            labeling = VectorLabeling(3, {v: (1.0, float(i), -0.5)
+                                          for i, v in enumerate(h.vertices)})
+            assert parse_vectors(write_vectors(labeling)) == labeling
