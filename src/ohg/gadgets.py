@@ -34,9 +34,9 @@ from .model import Hypergraph, build, record
 class BindSpec:
     """A gadget with verified (head, tail) true-implies-false terminals.
 
-    Construction counts the gadget's pairwise co-truths, without a state
-    table, and refuses adjacent terminals or pairs that some state makes
-    jointly true.
+    Construction refuses adjacent terminals, and pairs that some state makes
+    jointly true: it counts, without a state table, the states false on the
+    neighbours of both terminals, which are those making both true.
     """
 
     gadget: Hypergraph
@@ -44,8 +44,7 @@ class BindSpec:
     tail: str
 
     def __post_init__(self) -> None:
-        from .implications import gadget_scan
-        from .pairwise import cotruth
+        from .engine import count, search
 
         for v in (self.head, self.tail):
             if v not in self.gadget.index:
@@ -56,8 +55,11 @@ class BindSpec:
             raise AdjacentTerminalsError(
                 f"terminals {self.head!r} and {self.tail!r} are adjacent"
             )
-        scan = gadget_scan(self.gadget, cotruth(self.gadget))
-        if (self.head, self.tail) not in scan.tifs_pairs:
+        trace = search(self.gadget)
+        if not count(trace):
+            raise OhgError("the gadget has no two-valued state")
+        nbr, idx = self.gadget.neighbor_masks, self.gadget.index
+        if count(trace, nbr[idx[self.head]] | nbr[idx[self.tail]]):
             raise NotATifsPairError(
                 f"({self.head!r}, {self.tail!r}) is not a true-implies-false pair"
             )

@@ -6,8 +6,9 @@ co-truth counts: the true-implies-false and true-implies-true pairs
 Both take a state table or the co-truth counts of
 :func:`~ohg.pairwise.cotruth`. :mod:`ohg.states` binds these names on first
 use, so ``ohg.states.gadget_scan`` is ``ohg.gadget_scan``, and the tables
-load without this module; the gadget compositions load it without the
-table code.
+load without this module. No command loads it: the gadget compositions
+check their one (head, tail) pair with a count of the search
+(:class:`ohg.gadgets.BindSpec`).
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ column sums on the diagonal, since the counts of the 378-vertex binding pass
 2**63. :func:`classify` reads unitality and the separability ladder from
 either form.
 
-This is the part of the state analyses that ``classify``, ``reconstruct``
-and the gadget compositions run; :mod:`ohg.states` holds the tables and
-binds these names on first use, so ``ohg.states.cotruth`` is
-``ohg.cotruth``, and the tables load without this module.
+This is the part of the state analyses that ``classify`` and
+``reconstruct`` run; :mod:`ohg.states` holds the tables and binds these
+names on first use, so ``ohg.states.cotruth`` is ``ohg.cotruth``, and the
+tables load without this module.
 """
 
 from __future__ import annotations

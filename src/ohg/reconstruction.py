@@ -20,9 +20,10 @@ if TYPE_CHECKING:
     from .states import TravisMatrix
 
 # The node budget counts column placements only. Each full column assignment
-# then permutes every row of ``t1``, work that nothing counts: on bind(bug),
-# 108 columns and 2,239,488 rows, with this cap lifted, the first assignment
-# came after 2.5 s and each took 30-37 s (2-core Xeon, Python 3.11).
+# then permutes rows of ``t1`` until one misses ``t2``, work that nothing
+# counts: on bind(bug), 108 columns and 2,239,488 rows, with this cap lifted,
+# the first assignment came after 2.5 s, and one that holds took 30-37 s
+# (2-core Xeon, Python 3.11).
 _EQUIV_COLUMN_CAP = 32
 _EQUIV_NODE_BUDGET = 10 ** 6
 
@@ -212,13 +213,14 @@ def travis_equivalent(
         nonlocal nodes
         if pos == k:
             col_map = [assignment[i] for i in range(k)]
-            transformed = [_permute_row(r, col_map, k) for r in t1.rows]
-            if all(row in row_position for row in transformed):
-                found.append(
-                    (tuple(row_position[row] for row in transformed), tuple(col_map))
-                )
-                return True
-            return False
+            row_map = []
+            for r in t1.rows:
+                s = row_position.get(_permute_row(r, col_map, k))
+                if s is None:
+                    return False
+                row_map.append(s)
+            found.append((tuple(row_map), tuple(col_map)))
+            return True
         i = order[pos]
         for j in candidates[i]:
             if used[j]:

@@ -10,8 +10,8 @@ nothing else, so they run without a state table, on the 378-vertex binding
 too. Only row-level work enumerates: the state matrix, the relaxed colouring
 and, only as a fallback, the paper's row selection. Enumeration counts the
 trace first and refuses a table above :data:`ROW_BUDGET` rows. It imports
-the engine when it runs, so that a table read from a file or a fixture
-loads no search.
+the engine when it runs, so that a table read from a file or a fixture, and
+its co-truth counts, load no search.
 
 Pairwise co-truth counts have one form, from a table
 (:attr:`TravisMatrix.cooc`) or from the trace (:func:`cotruth`): a
@@ -60,10 +60,6 @@ __getattr__ = _lazy(globals(), {
 _COOC_BLOCK = 65536
 # bytes 0 and 1 to the digits "0" and "1"
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-# (shift, mask of an 8-byte word) of the delta swaps that transpose the 8 x 8
-# bit matrix in each word (Warren, Hacker's Delight, section 7-3)
-_TRANSPOSE8 = tuple((s, bytes.fromhex(m)) for s, m in (
-    (7, "00aa00aa00aa00aa"), (14, "0000cccc0000cccc"), (28, "00000000f0f0f0f0")))
 # Rows per block for the text writers: a block of 4096 rows x 108 columns is
 # under 1 MB of text, where 65536-row blocks raise the peak RSS of an export.
 _WRITE_BLOCK = 4096
@@ -149,12 +145,14 @@ class TravisMatrix:
         """Pairwise co-truth counts: ``cooc[i][j]`` = number of rows with both
         columns 1; the diagonal holds column sums. Computed once, a block of
         rows at a time: a count is the popcount of the AND of two columns,
-        each read as one int (:func:`_column_ints`)."""
+        each read as one int, every ``k``-th digit of the block's rows as
+        :func:`_row_digits` prints them."""
         k = self.n_cols
         # upper[i][d] counts columns i and i + d
         upper = [[0] * (k - i) for i in range(k)]
         for start in range(0, self.n_rows, _COOC_BLOCK):
-            cols = _column_ints(self.rows[start:start + _COOC_BLOCK], k)
+            digits = _row_digits(self.rows[start:start + _COOC_BLOCK], k)
+            cols = [int(digits[j::k], 2) for j in range(k)]
             for i, ci in enumerate(cols):
                 both = map(int.bit_count, map(ci.__and__, cols[i:]))
                 upper[i] = list(map(operator.add, upper[i], both))
@@ -165,9 +163,7 @@ class TravisMatrix:
 
     @property
     def column_sums(self) -> tuple[int, ...]:
-        from .pairwise import _diagonal
-
-        return _diagonal(self.cooc)
+        return tuple(row[i] for i, row in enumerate(self.cooc))
 
     @classmethod
     def from_bit_rows(
@@ -216,31 +212,6 @@ def _row_digits(rows: Sequence[int], k: int) -> str:
         rows = [a << width | b for a, b in zip(rows[0::2], rows[1::2])]
         width *= 2
     return format(rows[0], f"0{n * k}b") if n else ""
-
-
-def _column_ints(rows: Sequence[int], k: int) -> list[int]:
-    """Each of the ``k`` columns of ``rows`` as an int: the first row at the
-    top bit, then a zero bit per row padding the count to a multiple of 8.
-
-    A byte position of the rows, read down them, holds 8 columns; three
-    delta swaps transpose each of its 8 x 8 bit blocks, so that every 8th
-    byte of the result belongs to one column.
-    """
-    width = (k + 7) // 8
-    n = len(rows) + -len(rows) % 8
-    buf = b"".join(map(int.to_bytes, rows, repeat(width), repeat("big")))
-    buf += bytes(width * (n - len(rows)))
-    swaps = [(shift, int.from_bytes(word * (n // 8), "big"))
-             for shift, word in _TRANSPOSE8]
-    cols = []
-    for b in range(width):
-        v = int.from_bytes(buf[b::width], "big")
-        for shift, mask in swaps:
-            t = (v ^ v >> shift) & mask
-            v ^= t ^ t << shift
-        out = v.to_bytes(n, "big")
-        cols += (int.from_bytes(out[j::8], "big") for j in range(8))
-    return cols[8 * width - k:]
 
 
 def _mirror(mask: int, k: int) -> int:

@@ -541,6 +541,15 @@ class TestCompose:
                            "--head", "v1", "--tail", "v4")
         assert code == 2 and "error" in err
 
+    def test_gadget_without_states(self, capsys, tmp_path):
+        # a 3-cycle of 2-element contexts admits no state
+        path = tmp_path / "nostate.ohg"
+        path.write_text("a b\nb c\nc a\na d\nb e\n")
+        code, out, err = run(capsys, "compose", "layer", str(path),
+                             "--head", "d", "--tail", "e")
+        assert (code, out) == (2, "")
+        assert err == "error: the gadget has no two-valued state\n"
+
     def test_json(self, capsys, bug_file):
         code, out, _ = run(capsys, "compose", "layer", bug_file,
                            "--head", "v1", "--tail", "v7", "--format", "json")

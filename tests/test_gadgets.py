@@ -1,16 +1,46 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohg import core, gadgets, states
 from ohg.errors import (
     AdjacentTerminalsError,
     NotATifsPairError,
+    OhgError,
     RankMismatchError,
     UnknownFixtureError,
 )
 from ohg.gadgets import BindSpec, bind, build_fig4, layer, predicted_bind_count
 from ohg.reconstruction import travis_equivalent
+
+from conftest import random_pasting
+
+# a 3-cycle of 2-element contexts admits no state; d and e hang off it
+NO_STATE = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("b", "e")]
+
+
+def _check_every_pair(h: core.Hypergraph) -> None:
+    """``BindSpec`` on every ordered pair of distinct vertices of ``h``
+    against the pairs of :func:`~ohg.gadget_scan` over the co-truth counts;
+    without a state, every pair of non-adjacent vertices is refused."""
+    c = states.cotruth(h)
+    tifs = states.gadget_scan(h, c).tifs_pairs if c.nts else frozenset()
+    for head, tail in itertools.permutations(h.vertices, 2):
+        if h.adjacent(head, tail):
+            with pytest.raises(AdjacentTerminalsError):
+                BindSpec(h, head, tail)
+        elif not c.nts:
+            with pytest.raises(OhgError, match="no two-valued state") as refusal:
+                BindSpec(h, head, tail)
+            assert type(refusal.value) is OhgError
+        elif (head, tail) in tifs:
+            BindSpec(h, head, tail)
+        else:
+            with pytest.raises(NotATifsPairError):
+                BindSpec(h, head, tail)
 
 
 class TestFixtureCatalogue:
@@ -121,6 +151,23 @@ class TestBindSpec:
     def test_unknown_terminal(self, bug):
         with pytest.raises(UnknownFixtureError):
             BindSpec(bug, "v1", "vX")
+
+    def test_gadget_without_states(self):
+        h = core.build(NO_STATE)
+        assert not h.adjacent("d", "e")
+        with pytest.raises(OhgError, match="no two-valued state"):
+            BindSpec(h, "d", "e")
+
+    @pytest.mark.parametrize("name", [
+        n for n in gadgets.FIXTURE_NAMES if gadgets.fixture(n).hypergraph
+    ])
+    def test_every_pair_of_a_fixture(self, name):
+        _check_every_pair(gadgets.fixture(name).hypergraph)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 4))
+    def test_every_pair_of_a_pasting(self, seed, size):
+        _check_every_pair(random_pasting(random.Random(seed), size=size))
 
 
 class TestLayer:

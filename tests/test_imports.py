@@ -178,13 +178,15 @@ def test_states_needs_no_name_it_binds_on_first_use():
     # A module's ``__getattr__`` serves attribute access, not the global
     # lookups of the module's own functions: a function of ``ohg.states``
     # that read a name bound on first use would raise NameError here.
-    child = ("import ohg.states; "
+    # Nor do a table's counts load the search.
+    child = ("import sys, ohg.states; "
              "t = ohg.states.TravisMatrix.from_bit_rows('abc', [(1, 0, 0), (0, 1, 1)]); "
-             "print(t.column_sums, t.cooc)")
+             "print(t.column_sums, t.cooc); "
+             "print(sorted({'ohg.pairwise', 'ohg.engine'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", child], capture_output=True,
                             text=True, timeout=60, **child_options())
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "(1, 1, 1) ((1, 0, 0), (0, 1, 1), (0, 1, 1))\n"
+    assert result.stdout == "(1, 1, 1) ((1, 0, 0), (0, 1, 1), (0, 1, 1))\n[]\n"
 
 
 @pytest.mark.parametrize("module", [states, formats], ids=lambda m: m.__name__)
@@ -292,8 +294,8 @@ _MODEL = {"ohg.model"}
 _COTRUTH = _MODEL | {"ohg.engine", "ohg.pairwise"}
 _TABLE = _MODEL | {"ohg.engine", "ohg.states"}
 _CHI = _MODEL | {"ohg.cliques", "ohg.chromatic"}
-_GADGETS = _COTRUTH | {"ohg.implications", "ohg.formats", "ohg.catalogue", "ohg.bindcount",
-                       "ohg.gadgets"}
+_GADGETS = _MODEL | {"ohg.engine", "ohg.formats", "ohg.catalogue", "ohg.bindcount",
+                     "ohg.gadgets"}
 
 _COMMANDS = [
     (("states", "{bug}", "--count-only"), _MODEL | {"ohg.engine"}),

@@ -112,6 +112,16 @@ class TestTravisEquivalent:
         broken = states.TravisMatrix.from_bit_rows(ref.vertices, rows)
         assert travis_equivalent(ref, broken) is None
 
+    def test_same_column_invariants_not_equivalent(self):
+        # every column sum is 2 and every pair is true together once, so
+        # every column assignment is tried, but the row weights differ
+        t1 = states.TravisMatrix.from_bit_rows("abc", [(1, 1, 0), (1, 0, 1), (0, 1, 1),
+                                                        (0, 0, 0)])
+        t2 = states.TravisMatrix.from_bit_rows("abc", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                                        (1, 1, 1)])
+        assert t1.cooc == t2.cooc == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+        assert travis_equivalent(t1, t2) is None
+
     def test_size_limit(self, bind_bug_matrix):
         with pytest.raises(SizeLimitError):
             travis_equivalent(bind_bug_matrix, bind_bug_matrix)
