@@ -79,87 +79,79 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     return tuple(sorted(cliques, key=lambda c: sorted(c)))
 
 
-def _vertex_signature(h: Hypergraph) -> dict[str, tuple]:
+def _vertex_signature(h: Hypergraph) -> list[tuple]:
+    """Per vertex index: its degree, the sizes of its contexts and the
+    degrees of its neighbours, each sorted."""
     nbr = h.neighbor_masks
-    idx = h.index
-    degrees = {v: nbr[idx[v]].bit_count() for v in h.vertices}
-    sig = {}
-    for v in h.vertices:
-        ctx_sizes = tuple(sorted(len(c) for c in h.contexts if v in c))
-        nd = [degrees[h.vertices[u]] for u in _bits(nbr[idx[v]])]
-        sig[v] = (degrees[v], ctx_sizes, tuple(sorted(nd)))
-    return sig
+    return [(m.bit_count(),
+             tuple(sorted(c.bit_count() for c in h.context_masks if c >> v & 1)),
+             tuple(sorted(nbr[u].bit_count() for u in _bits(m))))
+            for v, m in enumerate(nbr)]
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     """A vertex bijection mapping contexts onto contexts, or ``None``.
 
-    Invariant-refined backtracking, not canonical labeling: fine for the
-    desk-scale instances this package targets (~120 vertices).
+    Invariant-refined backtracking, not canonical labeling. Each vertex of
+    ``h1``, in a fixed order, tries the vertices of ``h2`` with its
+    signature in name order, at a few mask operations per candidate, so the
+    bindings (a few hundred vertices) take milliseconds; the search keeps
+    its own stack, so Python's recursion limit does not bound the vertices.
     """
-    if len(h1.vertices) != len(h2.vertices) or len(h1.contexts) != len(h2.contexts):
-        return None
-    if sorted(len(c) for c in h1.contexts) != sorted(len(c) for c in h2.contexts):
-        return None
+    # equal signatures give equal vertex counts and context sizes
     sig1, sig2 = _vertex_signature(h1), _vertex_signature(h2)
-    if Counter(sig1.values()) != Counter(sig2.values()):
+    if Counter(sig1) != Counter(sig2):
         return None
-    classes: dict[tuple, list[str]] = {}
-    for v, s in sig2.items():
-        classes.setdefault(s, []).append(v)
+    n, names1, names2 = len(sig1), h1.vertices, h2.vertices
+    nbr1, nbr2 = h1.neighbor_masks, h2.neighbor_masks
+    classes: dict[tuple, list[int]] = {}
+    for w in sorted(range(n), key=names2.__getitem__):
+        classes.setdefault(sig2[w], []).append(w)
 
-    contexts2 = set(h2.contexts)
     # grow the mapping along adjacencies, most-constrained first: a vertex
     # with mapped neighbors has its image pinned down hard, which is what
-    # keeps the search from thrashing on symmetric instances
-    order: list[str] = []
-    placed: set[str] = set()
-    remaining = set(h1.vertices)
+    # keeps the search from thrashing on symmetric instances. A step holds
+    # the vertex, its neighbours placed before it and the rest of each
+    # context it completes.
+    steps, done, placed_nbrs, remaining = [], 0, [0] * n, set(range(n))
     while remaining:
-        nxt = min(
-            remaining,
-            key=lambda v: (
-                -sum(1 for u in placed if h1.adjacent(v, u)),
-                len(classes[sig1[v]]),
-                v,
-            ),
-        )
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+        v = min(remaining,
+                key=lambda v: (-placed_nbrs[v], len(classes[sig1[v]]), names1[v]))
+        remaining.remove(v)
+        steps.append((v, list(_bits(nbr1[v] & done)),
+                      [list(_bits(c & done)) for c in h1.context_masks
+                       if c & ~done == 1 << v]))
+        done |= 1 << v
+        for u in _bits(nbr1[v]):
+            placed_nbrs[u] += 1
+    contexts2, image = set(h2.context_masks), [0] * n
 
-    def feasible(v: str, w: str) -> bool:
-        for u, x in mapping.items():
-            if h1.adjacent(v, u) != h2.adjacent(w, x):
-                return False
-        # any context fully mapped once v is placed must land on a context of h2
-        trial = dict(mapping)
-        trial[v] = w
-        for ctx in h1.contexts:
-            if v in ctx and all(u in trial for u in ctx):
-                if frozenset(trial[u] for u in ctx) not in contexts2:
-                    return False
-        return True
+    def place(p: int, used: int):
+        """Map the vertex of step ``p`` to each feasible candidate in turn,
+        yielding the mask of the images then used."""
+        v, earlier, completed = steps[p]
+        want = sum(1 << image[u] for u in earlier)
+        rests = [sum(1 << image[u] for u in rest) for rest in completed]
+        for w in classes[sig1[v]]:
+            bit = 1 << w
+            if (not used & bit and nbr2[w] & used == want
+                    and all(r | bit in contexts2 for r in rests)):
+                image[v] = w
+                yield used | bit
 
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            image = {frozenset(mapping[u] for u in ctx) for ctx in h1.contexts}
-            return image == contexts2
-        v = order[pos]
-        for w in sorted(classes[sig1[v]]):
-            if w in used or not feasible(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if assign(pos + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if assign(0) else None
+    # Each context of h1 lands on a context of h2 as it is completed, and a
+    # bijection keeps distinct contexts apart, so with equal context counts
+    # a full mapping carries the contexts onto the contexts.
+    stack = [place(0, 0)]
+    while stack:
+        used = next(stack[-1], None)
+        if used is None:
+            stack.pop()
+        elif len(stack) == n:
+            return {names1[v]: names2[image[v]] for v, _, _ in steps}
+        else:
+            stack.append(place(len(stack), used))
+    return None
 
 
 def four_cycle_lint(h: Hypergraph) -> list[FourCycle]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+from .errors import SizeLimitError
 from .model import Hypergraph, _bits
 
 
@@ -44,7 +45,8 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
     exactly on the vertices they force. The memo maps each component to its
     position, so a component met again is shared. With ``progress`` the root
     is branched as a whole, and ``progress(parts, branch)`` reports each
-    branch (a node or ``None``).
+    branch (a node or ``None``). A search nesting deeper than Python's
+    recursion limit raises :class:`SizeLimitError`.
     """
     masks, nbr = h.context_masks, h.neighbor_masks
     parts: list[tuple] = []
@@ -136,7 +138,11 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
                 report(parts, b)
         return tuple(branches)
 
-    root = node(0, 0, range(len(masks)), progress)
+    try:
+        root = node(0, 0, range(len(masks)), progress)
+    except RecursionError:
+        raise SizeLimitError(
+            "the search nests deeper than Python's recursion limit") from None
     parts.append((root,) if root else ())
     return parts
 

@@ -55,6 +55,7 @@ def gadget_scan(h: Hypergraph, t: TravisMatrix | CoTruth) -> GadgetScan:
         raise OhgError("gadget_scan needs at least one two-valued state")
     cooc = t.cooc
     colsum = t.column_sums
+    names, nbr = h.vertices, h.neighbor_masks
     k = t.n_cols
     tifs = set()
     tits = set()
@@ -62,11 +63,10 @@ def gadget_scan(h: Hypergraph, t: TravisMatrix | CoTruth) -> GadgetScan:
         for j in range(k):
             if i == j:
                 continue
-            u, v = h.vertices[i], h.vertices[j]
-            if cooc[i][j] == 0 and not h.adjacent(u, v):
-                tifs.add((u, v))
+            if cooc[i][j] == 0 and not nbr[i] >> j & 1:
+                tifs.add((names[i], names[j]))
             if colsum[i] > 0 and cooc[i][j] == colsum[i]:
-                tits.add((u, v))
+                tits.add((names[i], names[j]))
     return GadgetScan(frozenset(tifs), frozenset(tits))
 
 

@@ -154,6 +154,7 @@ def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
     nts = t.n_rows
     cooc = t.cooc
     colsum = t.column_sums
+    nbr = h.neighbor_masks
     unital = nts > 0 and all(colsum)
     separable = True
     perfectly = True
@@ -165,9 +166,7 @@ def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
             item2 = colsum[i] - both > 0  # some row has i=1, j=0
             if not item1 and not item2:
                 separable = False
-            item3 = True
-            if not h.adjacent(h.vertices[i], h.vertices[j]):
-                item3 = both > 0
+            item3 = nbr[i] >> j & 1 or both > 0  # adjacent, or some row 1/1
             if witness is None and not (item1 and item2 and item3):
                 perfectly = False
                 failed = 1 if not item1 else (2 if not item2 else 3)

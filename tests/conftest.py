@@ -221,6 +221,43 @@ def random_pasting(rng: random.Random, max_contexts: int = 6,
     return core.build(contexts)
 
 
+def brute_force_isomorphic(h: core.Hypergraph, g: core.Hypergraph) -> bool:
+    """Whether some bijection of the vertices carries the contexts of ``h``
+    onto those of ``g``, by trying every permutation."""
+    assert len(h.vertices) <= 8, "brute force isomorphism capped at 8 vertices"
+    if len(h.vertices) != len(g.vertices):
+        return False
+    target = set(g.contexts)
+    for image in itertools.permutations(g.vertices):
+        to = dict(zip(h.vertices, image))
+        if {frozenset(to[v] for v in c) for c in h.contexts} == target:
+            return True
+    return False
+
+
+def shuffled(h: core.Hypergraph, rng: random.Random,
+             swap: bool = False) -> core.Hypergraph:
+    """``h`` with its vertices renamed and its contexts and their members
+    shuffled; with ``swap``, one member of one context replaced by a new
+    vertex."""
+    names = list(h.vertices)
+    rng.shuffle(names)
+    rename = {v: f"s{i}" for i, v in enumerate(names)}
+    contexts = [[rename[v] for v in sorted(c)] for c in h.contexts]
+    rng.shuffle(contexts)
+    for c in contexts:
+        rng.shuffle(c)
+    if swap:
+        contexts[rng.randrange(len(contexts))][0] = "new"
+    return core.build(contexts)
+
+
+def chain(n: int) -> str:
+    """Context-file text of ``n`` contexts ``a{i} b{i} a{i+1}`` in a row
+    (``2n + 1`` vertices), whose search nests deeper the longer it is."""
+    return "".join(f"a{i} b{i} a{i + 1}\n" for i in range(n))
+
+
 def disjoint_union(a: str, b: str) -> str:
     """Context-file text of two hypergraphs side by side; ``b``'s vertices
     are renamed apart. The states are all pairs of states."""

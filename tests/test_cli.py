@@ -18,7 +18,7 @@ from ohg.commands._dot import _DOT_PALETTE
 from ohg.commands._parser import build_parser
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
-from conftest import child_options, disjoint_union, ohg_argv, run_ohg
+from conftest import chain, child_options, disjoint_union, ohg_argv, run_ohg
 
 GIB = 1 << 30
 # a DOT double-quoted string, in which a backslash escapes the next character
@@ -707,6 +707,20 @@ class TestErrors:
         path.write_text("# only comments\n")
         code, _, err = run(capsys, "states", str(path))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("states", "--count-only"), ("classify",), ("reconstruct",),
+    ])
+    def test_deep_search_refused(self, tmp_path, argv):
+        # 1,000 contexts in a row nest the search past the recursion limit:
+        # a usage-level refusal, not a traceback or a negative verdict
+        path = tmp_path / "chain.ohg"
+        path.write_text(chain(1000))
+        result = run_ohg(argv[0], str(path), *argv[1:])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: the search nests deeper than Python's recursion limit\n")
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

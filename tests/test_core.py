@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ohg import core
+from ohg import core, formats
 from ohg.errors import (
     DuplicateContextError,
     EmptyContextError,
@@ -10,7 +13,14 @@ from ohg.errors import (
     SubsetContextError,
 )
 
-from conftest import brute_force_four_cycles, brute_force_two_section_edges
+from conftest import (
+    brute_force_four_cycles,
+    brute_force_isomorphic,
+    brute_force_two_section_edges,
+    chain,
+    random_pasting,
+    shuffled,
+)
 
 
 class TestBuild:
@@ -169,6 +179,46 @@ class TestIsomorphism:
 
     def test_different_structures(self, triangle, pentagon):
         assert core.is_isomorphic(triangle, pentagon) is None
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from((2, 3)),
+           swap=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_vs_brute_force(self, seed, size, swap):
+        rng = random.Random(seed)
+        h = random_pasting(rng, max_vertices=7, size=size)
+        g = shuffled(h, rng, swap)
+        found = core.is_isomorphic(h, g)
+        assert (found is not None) == brute_force_isomorphic(h, g)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from((2, 3, 4)),
+           swap=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_mapping_carries_contexts(self, seed, size, swap):
+        rng = random.Random(seed)
+        h = random_pasting(rng, max_contexts=8, max_vertices=14, size=size)
+        g = shuffled(h, rng, swap)
+        mapping = core.is_isomorphic(h, g)
+        if mapping is not None:
+            assert sorted(mapping) == sorted(h.vertices)
+            assert sorted(mapping.values()) == sorted(g.vertices)
+            assert {frozenset(mapping[v] for v in c) for c in h.contexts} \
+                == set(g.contexts)
+        if not swap:
+            assert mapping is not None
+
+    def test_bind_fig4_shuffled(self, bind_fig4):
+        g = shuffled(bind_fig4, random.Random(1))
+        mapping = core.is_isomorphic(bind_fig4, g)
+        assert {frozenset(mapping[v] for v in c) for c in bind_fig4.contexts} \
+            == set(g.contexts)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # 1,201 vertices: one recursion level per vertex could not return
+        h = formats.parse_ohg(chain(600))
+        g = shuffled(h, random.Random(1))
+        mapping = core.is_isomorphic(h, g)
+        assert {frozenset(mapping[v] for v in c) for c in h.contexts} \
+            == set(g.contexts)
 
 
 class TestFourCycleLint:

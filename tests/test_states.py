@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohg import core, engine, gadgets, states
+from ohg import core, engine, formats, gadgets, states
 from ohg.errors import (
     ColumnCountMismatchError,
     NotAGadgetPairError,
     OhgError,
     RowLimitExceededError,
+    SizeLimitError,
 )
 
 from conftest import (
     assert_states_lawful,
     brute_force_true_sets,
+    chain,
     engine_true_sets,
     random_pasting,
     random_rows,
@@ -268,6 +270,13 @@ class TestCount:
         seen = []
         assert states.count_states(bind_bug, progress=seen.append) == 2239488
         assert seen == [746496, 1461888, 2239488]
+
+    def test_deep_search_refused(self):
+        # 1,000 contexts in a row nest the search past the recursion limit
+        h = formats.parse_ohg(chain(1000))
+        for analysis in (states.count_states, states.cotruth):
+            with pytest.raises(SizeLimitError, match="recursion limit"):
+                analysis(h)
 
     def test_memo_shares_equal_components(self, bind_bug, bind_fig4):
         # a component met again in another branch is one part of the trace;
