@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional
 
 from .cliques import ShapeReport, _clique_masks, _component_masks, shape  # noqa: F401 (re-exported)
@@ -112,18 +113,22 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     # with mapped neighbors has its image pinned down hard, which is what
     # keeps the search from thrashing on symmetric instances. A step holds
     # the vertex, its neighbours placed before it and the rest of each
-    # context it completes.
-    steps, done, placed_nbrs, remaining = [], 0, [0] * n, set(range(n))
-    while remaining:
-        v = min(remaining,
-                key=lambda v: (-placed_nbrs[v], len(classes[sig1[v]]), names1[v]))
-        remaining.remove(v)
+    # context it completes. The heap holds an entry for each count of placed
+    # neighbours an unplaced vertex has had; only the current count's is live.
+    steps, done, placed_nbrs = [], 0, [0] * n
+    heap = [(0, len(classes[sig1[v]]), names1[v], v) for v in range(n)]
+    heapify(heap)
+    while heap:
+        key, _, _, v = heappop(heap)
+        if -key != placed_nbrs[v]:
+            continue
         steps.append((v, list(_bits(nbr1[v] & done)),
                       [list(_bits(c & done)) for c in h1.context_masks
                        if c & ~done == 1 << v]))
         done |= 1 << v
-        for u in _bits(nbr1[v]):
+        for u in _bits(nbr1[v] & ~done):
             placed_nbrs[u] += 1
+            heappush(heap, (-placed_nbrs[u], len(classes[sig1[u]]), names1[u], u))
     contexts2, image = set(h2.context_masks), [0] * n
 
     def place(p: int, used: int):

@@ -15,11 +15,13 @@ The search (:func:`search`) runs once and returns its trace, a decision-DNNF
 in the sense of Huang and Darwiche ("The language of search", JAIR 2007), as
 one list of parts, each a choice between nodes that set vertices true over
 independent parts earlier in the list, with the root last. Every question is
-a loop over that list. This module holds the counting pass
-(:func:`part_counts`, also of the states false on a set of vertices) and
-:func:`count_states`; :mod:`ohg.pairwise` adds the passes for co-truth
-counts, and :mod:`ohg.states` those for the rows themselves. ``ohg states
---count-only`` loads this module alone, not the table code.
+a loop over that list. The search nests on a stack of its own, not Python's,
+so a chain of thousands of contexts is searched like any other input. This
+module holds the counting pass (:func:`part_counts`, also of the states
+false on a set of vertices) and :func:`count_states`; :mod:`ohg.pairwise`
+adds the passes for co-truth counts, and :mod:`ohg.states` those for the
+rows themselves. ``ohg states --count-only`` loads this module alone, not
+the table code.
 
 The engine works on :mod:`ohg.model`'s masks, bit ``i`` = vertex ``i``, taken
 from :attr:`Hypergraph.context_masks` and :attr:`Hypergraph.neighbor_masks`.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .errors import SizeLimitError
 from .model import Hypergraph, _bits
 
 
@@ -45,8 +46,8 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
     exactly on the vertices they force. The memo maps each component to its
     position, so a component met again is shared. With ``progress`` the root
     is branched as a whole, and ``progress(parts, branch)`` reports each
-    branch (a node or ``None``). A search nesting deeper than Python's
-    recursion limit raises :class:`SizeLimitError`.
+    branch (a node or ``None``). The search keeps its own stack, so Python's
+    recursion limit does not bound how deep it nests.
     """
     masks, nbr = h.context_masks, h.neighbor_masks
     parts: list[tuple] = []
@@ -88,6 +89,8 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
             for mask, members in comps:
                 if mask & und:
                     und |= mask
+                    if len(members) > len(group):
+                        group, members = members, group
                     group.extend(members)
                 else:
                     rest.append((mask, members))
@@ -105,7 +108,7 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
             return None
         forced, zeros, active = res
         if report and active:
-            parts.append(branch(zeros, active, report))
+            parts.append((yield branch(zeros, active, report)))
             return (forced, (len(parts) - 1,)) if parts[-1] else None
         subs = []
         for und, group in components(zeros, active):
@@ -114,7 +117,7 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
             # the group, and each has ``und`` as its undetermined vertices.
             at = memo.get(und)
             if at is None:
-                part = branch(zeros, group)
+                part = yield branch(zeros, group)
                 at = memo[und] = len(parts)
                 parts.append(part)
             if not parts[at]:
@@ -131,19 +134,24 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
         branches = []
         for v in _bits(masks[ci] & ~zeros):
             # no conflict test: an undetermined vertex never has a true neighbour
-            b = node(1 << v, zeros | nbr[v], active)
+            b = yield node(1 << v, zeros | nbr[v], active)
             if b is not None:
                 branches.append(b)
             if report:
                 report(parts, b)
         return tuple(branches)
 
-    try:
-        root = node(0, 0, range(len(masks)), progress)
-    except RecursionError:
-        raise SizeLimitError(
-            "the search nests deeper than Python's recursion limit") from None
-    parts.append((root,) if root else ())
+    # node and branch yield each call they would make and are sent back its
+    # result: the search nests on this stack, not on Python's
+    stack, value = [node(0, 0, range(len(masks)), progress)], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    parts.append((value,) if value else ())
     return parts
 
 

@@ -258,6 +258,16 @@ def chain(n: int) -> str:
     return "".join(f"a{i} b{i} a{i + 1}\n" for i in range(n))
 
 
+def chain_count(n: int) -> int:
+    """The number of states of ``chain(n)``, the Fibonacci number F(n + 3):
+    those with ``a{n}`` false are the states of ``chain(n - 1)``, and those
+    with it true the states of ``chain(n - 2)``."""
+    a, b = 1, 1  # F(1), F(2)
+    for _ in range(n + 1):
+        a, b = b, a + b
+    return b
+
+
 def disjoint_union(a: str, b: str) -> str:
     """Context-file text of two hypergraphs side by side; ``b``'s vertices
     are renamed apart. The states are all pairs of states."""

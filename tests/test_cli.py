@@ -18,7 +18,7 @@ from ohg.commands._dot import _DOT_PALETTE
 from ohg.commands._parser import build_parser
 from ohg.formats import parse_matrix, parse_ohg, write_ohg
 
-from conftest import chain, child_options, disjoint_union, ohg_argv, run_ohg
+from conftest import chain, chain_count, child_options, disjoint_union, ohg_argv, run_ohg
 
 GIB = 1 << 30
 # a DOT double-quoted string, in which a backslash escapes the next character
@@ -708,24 +708,26 @@ class TestErrors:
         code, _, err = run(capsys, "states", str(path))
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("states", "--count-only"), ("classify",), ("reconstruct",),
-    ])
-    def test_deep_search_refused(self, tmp_path, argv):
-        # 1,000 contexts in a row nest the search past the recursion limit:
-        # a usage-level refusal, not a traceback or a negative verdict
-        path = tmp_path / "chain.ohg"
-        path.write_text(chain(1000))
-        result = run_ohg(argv[0], str(path), *argv[1:])
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr == (
-            "error: the search nests deeper than Python's recursion limit\n")
-
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n, argv, line", [
+    (1000, ("states", "--count-only"), str(chain_count(1000))),
+    (600, ("classify",), f"nTS: {chain_count(600)}"),
+    (600, ("reconstruct",), "verdict: reconstructable"),
+], ids=["states", "classify", "reconstruct"])
+def test_long_chain(tmp_path, n, argv, line):
+    # a chain nests the search once per context, 1,000 contexts far past
+    # Python's recursion limit
+    path = tmp_path / "chain.ohg"
+    path.write_text(chain(n))
+    result = run_ohg(argv[0], str(path), *argv[1:])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert line in result.stdout.splitlines()
 
 
 def test_console_script_installed():

@@ -14,13 +14,13 @@ from ohg.errors import (
     NotAGadgetPairError,
     OhgError,
     RowLimitExceededError,
-    SizeLimitError,
 )
 
 from conftest import (
     assert_states_lawful,
     brute_force_true_sets,
     chain,
+    chain_count,
     engine_true_sets,
     random_pasting,
     random_rows,
@@ -28,6 +28,38 @@ from conftest import (
 
 # the 3-cycle of 2-element contexts admits no two-valued state at all
 CONTRADICTORY = [("a", "b"), ("b", "c"), ("a", "c")]
+
+# sha256 of repr(engine.search(h)), recorded with the recursive search
+TRACE_SHA256 = {
+    "k3":
+        "a434e72a9f65ed4b44bb741b41ca703024ebe30560fc8000a80f61d73b31c507",
+    "triangle":
+        "4ddd2e449b7b623079756eef35579383895650fe7dd3e842124ea55909cc8a90",
+    "pentagon":
+        "707406f05541c3c7f56336530cf0a6c5b7485269a75c49d6caa85cc6f4f46264",
+    "bug":
+        "379ae323d33280360c2d25ff602ce9eceee48fb730ed2d62f6c52c146eb08b0e",
+    "g32":
+        "7ecbc2f44b7c937f2c5a60f481148ca8d9e8eb3c5d90fa1b5a19cd508f276fbb",
+    "g32x":
+        "7ecbc2f44b7c937f2c5a60f481148ca8d9e8eb3c5d90fa1b5a19cd508f276fbb",
+    "underlying":
+        "9a6008400f995e780edd7cbe4b6b54519fd18b94c4f2507b29c6e6aa3f93dda2",
+    "fig4":
+        "2cac35a90e9b745a4b6b662bd119fdc6956c16638acb05aa518fbe3422db4702",
+    "layer(bug)":
+        "18b02834d2bdb1566fb22b10a7239b17b488148bdae578a137304ff9941502d1",
+    "bind(bug)":
+        "d5dbf5df362ae25041ea5a7d3b85bc47b391c51d4e833ae0b25d2128834397be",
+    "bind(fig4)":
+        "84a1fc55140f7882d771b11d7a15120e637284dd171a5a8513a842a07c7d162b",
+    "bind(bug) scramble 0":
+        "eb7231be1a2d079ab60c961a1f8c3dbd3b82093ec9332a05fb3bb2140b3f3696",
+    "bind(bug) scramble 1":
+        "9542e339d6fdfdc6d8b3284b0f0433b75b7a3cfe26a790b816d52b7e8b106d0f",
+    "bind(bug) scramble 2":
+        "5e02ce359f4e628a4093f0b847dcadcbb4623742a350999a6a449e36d399fe50",
+}
 
 
 class TestEnumerate:
@@ -271,12 +303,12 @@ class TestCount:
         assert states.count_states(bind_bug, progress=seen.append) == 2239488
         assert seen == [746496, 1461888, 2239488]
 
-    def test_deep_search_refused(self):
-        # 1,000 contexts in a row nest the search past the recursion limit
+    def test_long_chains(self):
+        # a chain nests the search once per context, 1,000 contexts far
+        # past Python's recursion limit
         h = formats.parse_ohg(chain(1000))
-        for analysis in (states.count_states, states.cotruth):
-            with pytest.raises(SizeLimitError, match="recursion limit"):
-                analysis(h)
+        assert states.count_states(h) == chain_count(1000)
+        assert states.cotruth(formats.parse_ohg(chain(600))).nts == chain_count(600)
 
     def test_memo_shares_equal_components(self, bind_bug, bind_fig4):
         # a component met again in another branch is one part of the trace;
@@ -284,6 +316,26 @@ class TestCount:
         # without changing any count or row
         assert len(engine.search(bind_bug)) <= 112
         assert len(engine.search(bind_fig4)) <= 442
+
+    def test_traces_are_pinned(self, bind_bug, bind_fig4):
+        # the trace part for part, not only its counts: the rows, the
+        # co-truth counts and the progress totals are all read off it
+        bug = gadgets.fixture("bug").hypergraph
+        inputs = {name: gadgets.fixture(name).hypergraph
+                  for name in gadgets.FIXTURE_NAMES if name != "ghz"}
+        inputs["layer(bug)"] = gadgets.layer(gadgets.BindSpec(bug, "v1", "v7"))
+        inputs["bind(bug)"] = bind_bug
+        inputs["bind(fig4)"] = bind_fig4
+        for k in range(3):
+            rng = random.Random(f"scramble:{k}")
+            ctxs = [sorted(c) for c in bind_bug.contexts]
+            rng.shuffle(ctxs)
+            for c in ctxs:
+                rng.shuffle(c)
+            inputs[f"bind(bug) scramble {k}"] = core.build(ctxs)
+        digests = {name: hashlib.sha256(repr(engine.search(h)).encode()).hexdigest()
+                   for name, h in inputs.items()}
+        assert digests == TRACE_SHA256
 
 
 def _same_counts(c: states.CoTruth, t: states.TravisMatrix) -> None:
