@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import product
 from typing import NamedTuple, Optional
 
 from .cliques import ShapeReport, _clique_masks, _component_masks, shape  # noqa: F401 (re-exported)
@@ -80,14 +81,17 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     return tuple(sorted(cliques, key=lambda c: sorted(c)))
 
 
-def _vertex_signature(h: Hypergraph) -> list[tuple]:
+def _vertex_signature(h: Hypergraph) -> tuple[list[tuple], list[list[int]]]:
     """Per vertex index: its degree, the sizes of its contexts and the
-    degrees of its neighbours, each sorted."""
-    nbr = h.neighbor_masks
-    return [(m.bit_count(),
-             tuple(sorted(c.bit_count() for c in h.context_masks if c >> v & 1)),
+    degrees of its neighbours, each sorted; and its contexts' masks, in
+    context order."""
+    nbr, contexts_of = h.neighbor_masks, [[] for _ in h.vertices]
+    for c in h.context_masks:
+        for v in _bits(c):
+            contexts_of[v].append(c)
+    return [(m.bit_count(), tuple(sorted(c.bit_count() for c in contexts_of[v])),
              tuple(sorted(nbr[u].bit_count() for u in _bits(m))))
-            for v, m in enumerate(nbr)]
+            for v, m in enumerate(nbr)], contexts_of
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
@@ -100,7 +104,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     its own stack, so Python's recursion limit does not bound the vertices.
     """
     # equal signatures give equal vertex counts and context sizes
-    sig1, sig2 = _vertex_signature(h1), _vertex_signature(h2)
+    (sig1, of1), (sig2, _) = _vertex_signature(h1), _vertex_signature(h2)
     if Counter(sig1) != Counter(sig2):
         return None
     n, names1, names2 = len(sig1), h1.vertices, h2.vertices
@@ -123,7 +127,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
         if -key != placed_nbrs[v]:
             continue
         steps.append((v, list(_bits(nbr1[v] & done)),
-                      [list(_bits(c & done)) for c in h1.context_masks
+                      [list(_bits(c & done)) for c in of1[v]
                        if c & ~done == 1 << v]))
         done |= 1 << v
         for u in _bits(nbr1[v] & ~done):
@@ -164,44 +168,27 @@ def four_cycle_lint(h: Hypergraph) -> list[FourCycle]:
 
     A nonempty result flags the hypergraph as having no faithful orthogonal
     representation: antipodal vertices of such a cycle would be forced
-    colinear. Cycles are reported once, canonicalized up to rotation and
-    reflection.
+    colinear. Each cycle is reported once, in its least rotation or
+    reflection (``a`` first, ``b < d``), with the first choice of vertices
+    over the sorted intersections; cycles come out sorted.
     """
     ctxs = h.contexts
     m = len(ctxs)
-    inter = [[ctxs[i] & ctxs[j] for j in range(m)] for i in range(m)]
-    found: dict[tuple, FourCycle] = {}
+    inter = [[sorted(ctxs[i] & ctxs[j]) for j in range(m)] for i in range(m)]
+    cycles = []
     for a in range(m):
-        for b in range(m):
-            if b == a or not inter[a][b]:
+        for b in range(a + 1, m):
+            if not inter[a][b]:
                 continue
-            for c in range(m):
-                if c in (a, b) or not inter[b][c]:
+            for c in range(a + 1, m):
+                if c == b or not inter[b][c]:
                     continue
-                for d in range(m):
-                    if d in (a, b, c) or not inter[c][d] or not inter[d][a]:
+                for d in range(b + 1, m):
+                    if d == c or not inter[c][d] or not inter[d][a]:
                         continue
-                    for vab in sorted(inter[a][b]):
-                        for vbc in sorted(inter[b][c]):
-                            if vbc == vab:
-                                continue
-                            for vcd in sorted(inter[c][d]):
-                                if vcd in (vab, vbc):
-                                    continue
-                                for vda in sorted(inter[d][a]):
-                                    if vda in (vab, vbc, vcd):
-                                        continue
-                                    key = _canonical_cycle((a, b, c, d))
-                                    if key not in found:
-                                        found[key] = FourCycle(
-                                            (a, b, c, d), (vab, vbc, vcd, vda)
-                                        )
-    return [found[k] for k in sorted(found)]
-
-
-def _canonical_cycle(cycle: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    variants = []
-    for seq in (cycle, cycle[::-1]):
-        for shift in range(4):
-            variants.append(seq[shift:] + seq[:shift])
-    return min(variants)
+                    for vertices in product(inter[a][b], inter[b][c],
+                                            inter[c][d], inter[d][a]):
+                        if len(set(vertices)) == 4:
+                            cycles.append(FourCycle((a, b, c, d), vertices))
+                            break
+    return cycles

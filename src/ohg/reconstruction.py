@@ -118,13 +118,14 @@ def evaluate(
     ``empty`` when there are no states at all; ``non_separable`` with a
     witness pair when two columns coincide (no reconstruction is attempted in
     either case, so the second element is ``None``); ``reconstructable`` when
-    the filtered reconstruction is isomorphic to ``h``; else
-    ``extra_structure`` with the surplus contexts. ``n`` overrides the clique
-    number used by the completion filter. Only the canonical reconstruction
-    is tested, which is sound but does not quantify over every
-    table-equivalent hypergraph. Non-unital input propagates
-    :class:`AllZeroColumnError`. Everything is decided from the co-truth
-    counts of :func:`~ohg.pairwise.cotruth`, so no state table is built.
+    the filtered reconstruction is equal to ``h``, which for a reconstruction
+    is the same as isomorphic; else ``extra_structure`` with the surplus
+    contexts. ``n`` overrides the clique number used by the completion filter.
+    Only the canonical reconstruction is tested, which is sound but does not
+    quantify over every table-equivalent hypergraph. Non-unital input
+    propagates :class:`AllZeroColumnError`. Everything is decided from the
+    co-truth counts of :func:`~ohg.pairwise.cotruth`, so no state table is
+    built.
     """
     t = cotruth(h)
     if t.n_rows == 0:
@@ -142,7 +143,15 @@ def evaluate(
     if n < 3:
         raise OhgError("reconstructability verdicts need clique number >= 3")
     rec = reconstruct(t, n, source=h)
-    if core.is_isomorphic(h, rec.filtered_hypergraph) is not None:
+    # Isomorphic is equal here. An isomorphism from h onto the reconstruction
+    # F keeps context sizes, so h's contexts have >= n vertices and, as
+    # cliques of the adjacency graph G, lie in contexts of F: S(h) <= S(F) for
+    # the 2-sections, and equal edge counts make them one graph S, with the
+    # isomorphism an automorphism of S. F's contexts are maximal cliques of
+    # S, so h's are too; a larger clique of G around one would lie in a
+    # context of F, a clique of S, so h's contexts are maximal in G, hence
+    # contexts of F, and equal context counts give F = h.
+    if not rec.extra_contexts and not rec.missing_contexts:
         return Verdict("reconstructable"), rec
     return Verdict("extra_structure", extra_contexts=rec.extra_contexts), rec
 

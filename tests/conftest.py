@@ -175,18 +175,29 @@ def brute_force_chromatic(h: core.Hypergraph) -> int:
     return k
 
 
-def brute_force_four_cycles(h: core.Hypergraph) -> bool:
-    """Whether any four distinct contexts close an intertwine cycle with four
-    distinct intertwining vertices."""
-    m = len(h.contexts)
-    for a, b, c, d in itertools.permutations(range(m), 4):
-        for vab in h.contexts[a] & h.contexts[b]:
-            for vbc in h.contexts[b] & h.contexts[c]:
-                for vcd in h.contexts[c] & h.contexts[d]:
-                    for vda in h.contexts[d] & h.contexts[a]:
-                        if len({vab, vbc, vcd, vda}) == 4:
-                            return True
-    return False
+def brute_force_four_cycles(
+    h: core.Hypergraph,
+) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """Every closed chain of four distinct contexts with four distinct
+    intertwining vertices, once, sorted: found over all ordered 4-tuples of
+    contexts, each named by its least rotation or reflection with the first
+    distinct choice of vertices over that orientation's sorted
+    intersections."""
+    ctxs = h.contexts
+    m = range(len(ctxs))
+    meet = [[bool(x & y) for y in ctxs] for x in ctxs]
+    found = {}
+    for cycle in ((a, b, c, d) for a in m for b in m if meet[a][b]
+                  for c in m if meet[b][c] for d in m if meet[c][d] and meet[d][a]):
+        if len(set(cycle)) < 4:
+            continue
+        turns = [cycle[i:] + cycle[:i] for i in range(4)]
+        key = min(turns + [t[::-1] for t in turns])
+        meets = [sorted(ctxs[x] & ctxs[y]) for x, y in zip(key, key[1:] + key[:1])]
+        choices = [vs for vs in itertools.product(*meets) if len(set(vs)) == 4]
+        if choices:
+            found[key] = choices[0]
+    return sorted(found.items())
 
 
 def random_pasting(rng: random.Random, max_contexts: int = 6,

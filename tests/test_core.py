@@ -223,8 +223,7 @@ class TestIsomorphism:
 
 class TestFourCycleLint:
     def test_bug_clean(self, bug):
-        assert core.four_cycle_lint(bug) == []
-        assert not brute_force_four_cycles(bug)
+        assert core.four_cycle_lint(bug) == brute_force_four_cycles(bug) == []
 
     def test_bug_with_chord_flagged(self, bug):
         chorded = core.build(
@@ -232,7 +231,7 @@ class TestFourCycleLint:
         )
         cycles = core.four_cycle_lint(chorded)
         assert cycles
-        assert brute_force_four_cycles(chorded)
+        assert cycles == brute_force_four_cycles(chorded)
         for cyc in cycles:
             assert len(set(cyc.contexts)) == 4
             assert len(set(cyc.vertices)) == 4
@@ -240,6 +239,30 @@ class TestFourCycleLint:
     def test_single_context(self, k3):
         assert core.four_cycle_lint(k3) == []
 
-    def test_matches_oracle_on_fixtures(self, triangle, pentagon, g32, underlying):
-        for h in (triangle, pentagon, g32, underlying):
-            assert bool(core.four_cycle_lint(h)) == brute_force_four_cycles(h)
+    def test_matches_oracle_on_fixtures(self, triangle, pentagon, g32, g32x,
+                                        underlying, fig4, bind_bug):
+        for h in (triangle, pentagon, g32, g32x, underlying, fig4, bind_bug):
+            assert core.four_cycle_lint(h) == brute_force_four_cycles(h)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from((2, 3, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_pastings(self, seed, size):
+        h = random_pasting(random.Random(seed), max_contexts=12,
+                           max_vertices=24, size=size)
+        assert core.four_cycle_lint(h) == brute_force_four_cycles(h)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_on_contexts_sharing_vertices(self, seed):
+        # contexts drawn over a few vertices often share two or more of them
+        rng = random.Random(seed)
+        while True:
+            pool = [f"p{i}" for i in range(rng.randint(5, 10))]
+            contexts = [rng.sample(pool, rng.randint(2, 4))
+                        for _ in range(rng.randint(4, 9))]
+            try:
+                h = core.build(contexts)
+            except (DuplicateContextError, SubsetContextError):
+                continue
+            assert core.four_cycle_lint(h) == brute_force_four_cycles(h)
+            return

@@ -175,12 +175,14 @@ class TestVerdict:
 
 class TestReconstructionEquivalence:
     """Perfect separability if and only if the filtered reconstruction is the
-    source, checked on fixtures and a batch of random pastings."""
+    source, checked on fixtures and a batch of random pastings; and the
+    verdict, which compares the reconstruction with the source, agrees with
+    an isomorphism test between the two."""
 
-    def check(self, h):
+    def check(self, h, n=None):
         t = states.enumerate_states(h)
         if t.n_rows == 0:
-            assert verdict(h).kind == "empty"
+            assert verdict(h, n=n).kind == "empty"
             return
         c = states.classify(h, t)
         if not c.unital:
@@ -188,15 +190,19 @@ class TestReconstructionEquivalence:
             # (non-separable) or trips the adjacency criterion's guard
             if c.separable:
                 with pytest.raises(AllZeroColumnError):
-                    verdict(h)
+                    verdict(h, n=n)
             else:
-                assert verdict(h).kind == "non_separable"
+                assert verdict(h, n=n).kind == "non_separable"
             return
-        v = verdict(h)
-        if c.perfectly_separable:
+        v = verdict(h, n=n)
+        if v.kind == "non_separable":
+            return
+        rec = reconstruct(t, n or core.shape(h).clique_number, source=h)
+        assert (v.kind == "reconstructable") == (
+            core.is_isomorphic(h, rec.filtered_hypergraph) is not None)
+        if c.perfectly_separable and n is None:
             assert v.kind == "reconstructable"
         if v.kind == "reconstructable":
-            rec = reconstruct(t, core.shape(h).clique_number, source=h)
             filtered_something = set(rec.raw_hypergraph.contexts) != set(
                 rec.filtered_hypergraph.contexts
             )
@@ -206,9 +212,13 @@ class TestReconstructionEquivalence:
     def test_fixtures(self):
         for name in ("triangle", "pentagon", "bug", "g32", "g32x",
                      "underlying", "fig4"):
-            self.check(gadgets.fixture(name).hypergraph)
+            for n in (None, 3, 4, 5):
+                self.check(gadgets.fixture(name).hypergraph, n)
 
     def test_random_pastings(self):
         rng = random.Random(424242)
-        for _ in range(60):
-            self.check(random_pasting(rng))
+        for size in (2, 3, 4, 5):
+            for _ in range(30):
+                h = random_pasting(rng, size=size)
+                for n in (None, 3, 4, 5):
+                    self.check(h, n)
