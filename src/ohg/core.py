@@ -81,17 +81,16 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     return tuple(sorted(cliques, key=lambda c: sorted(c)))
 
 
-def _vertex_signature(h: Hypergraph) -> tuple[list[tuple], list[list[int]]]:
+def _vertex_signature(h: Hypergraph) -> list[tuple]:
     """Per vertex index: its degree, the sizes of its contexts and the
-    degrees of its neighbours, each sorted; and its contexts' masks, in
-    context order."""
-    nbr, contexts_of = h.neighbor_masks, [[] for _ in h.vertices]
+    degrees of its neighbours, each sorted."""
+    nbr, sizes = h.neighbor_masks, [[] for _ in h.vertices]
     for c in h.context_masks:
         for v in _bits(c):
-            contexts_of[v].append(c)
-    return [(m.bit_count(), tuple(sorted(c.bit_count() for c in contexts_of[v])),
+            sizes[v].append(c.bit_count())
+    return [(m.bit_count(), tuple(sorted(sizes[v])),
              tuple(sorted(nbr[u].bit_count() for u in _bits(m))))
-            for v, m in enumerate(nbr)], contexts_of
+            for v, m in enumerate(nbr)]
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
@@ -104,7 +103,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     its own stack, so Python's recursion limit does not bound the vertices.
     """
     # equal signatures give equal vertex counts and context sizes
-    (sig1, of1), (sig2, _) = _vertex_signature(h1), _vertex_signature(h2)
+    sig1, sig2 = _vertex_signature(h1), _vertex_signature(h2)
     if Counter(sig1) != Counter(sig2):
         return None
     n, names1, names2 = len(sig1), h1.vertices, h2.vertices
@@ -120,6 +119,10 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     # context it completes. The heap holds an entry for each count of placed
     # neighbours an unplaced vertex has had; only the current count's is live.
     steps, done, placed_nbrs = [], 0, [0] * n
+    of1 = [[] for _ in range(n)]  # each vertex's contexts, in context order
+    for c in h1.context_masks:
+        for v in _bits(c):
+            of1[v].append(c)
     heap = [(0, len(classes[sig1[v]]), names1[v], v) for v in range(n)]
     heapify(heap)
     while heap:
