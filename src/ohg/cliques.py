@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .model import Hypergraph, _bits, record
+from .walk import _drive
 
 
 @record
@@ -32,13 +33,14 @@ def _clique_masks(nbr: Sequence[int]) -> list[int]:
     """The inclusion-maximal cliques of the graph with neighbour masks
     ``nbr``, as vertex masks.
 
-    Bron-Kerbosch with pivoting on bitmasks; instances here stay small
-    (the largest composed hypergraph has 378 vertices). The 2-section of a
-    hypergraph ``h`` is the graph of ``h.neighbor_masks``.
+    Bron-Kerbosch with pivoting on bitmasks. The 2-section of a hypergraph
+    ``h`` is the graph of ``h.neighbor_masks``. The search nests once per
+    clique member, on the walks' stack (:func:`ohg.walk._drive`), so a
+    context of thousands of vertices is one clique like any other.
     """
     out: list[int] = []
 
-    def expand(clique: int, cand: int, excl: int) -> None:
+    def expand(clique: int, cand: int, excl: int):
         if not cand and not excl:
             out.append(clique)
             return
@@ -49,11 +51,11 @@ def _clique_masks(nbr: Sequence[int]) -> list[int]:
                 best, best_deg = v, d
         for v in _bits(cand & ~nbr[best]):
             low = 1 << v
-            expand(clique | low, cand & nbr[v], excl & nbr[v])
+            yield expand(clique | low, cand & nbr[v], excl & nbr[v])
             cand &= ~low
             excl |= low
     if nbr:
-        expand(0, (1 << len(nbr)) - 1, 0)
+        _drive(expand(0, (1 << len(nbr)) - 1, 0))
     return out
 
 

@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 
 from .cliques import ShapeReport, _clique_masks, _component_masks, shape  # noqa: F401 (re-exported)
 from .model import Hypergraph, _bits, build, record  # noqa: F401 (re-exported)
+from .walk import _drive
 
 
 @record
@@ -99,8 +100,10 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     Invariant-refined backtracking, not canonical labeling. Each vertex of
     ``h1``, in a fixed order, tries the vertices of ``h2`` with its
     signature in name order, at a few mask operations per candidate, so the
-    bindings (a few hundred vertices) take milliseconds; the search keeps
-    its own stack, so Python's recursion limit does not bound the vertices.
+    bindings (a few hundred vertices) take milliseconds. The search nests
+    once per vertex on the one driver of nested walks
+    (:func:`ohg.walk._drive`), so Python's recursion limit does not bound
+    the vertices.
     """
     # equal signatures give equal vertex counts and context sizes
     sig1, sig2 = _vertex_signature(h1), _vertex_signature(h2)
@@ -140,7 +143,9 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
 
     def place(p: int, used: int):
         """Map the vertex of step ``p`` to each feasible candidate in turn,
-        yielding the mask of the images then used."""
+        yielding the walk of the next step; whether the mapping completes."""
+        if p == n:
+            return True
         v, earlier, completed = steps[p]
         want = sum(1 << image[u] for u in earlier)
         rests = [sum(1 << image[u] for u in rest) for rest in completed]
@@ -149,20 +154,15 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
             if (not used & bit and nbr2[w] & used == want
                     and all(r | bit in contexts2 for r in rests)):
                 image[v] = w
-                yield used | bit
+                if (yield place(p + 1, used | bit)):
+                    return True
+        return False
 
     # Each context of h1 lands on a context of h2 as it is completed, and a
     # bijection keeps distinct contexts apart, so with equal context counts
     # a full mapping carries the contexts onto the contexts.
-    stack = [place(0, 0)]
-    while stack:
-        used = next(stack[-1], None)
-        if used is None:
-            stack.pop()
-        elif len(stack) == n:
-            return {names1[v]: names2[image[v]] for v, _, _ in steps}
-        else:
-            stack.append(place(len(stack), used))
+    if _drive(place(0, 0)):
+        return {names1[v]: names2[image[v]] for v, _, _ in steps}
     return None
 
 

@@ -15,8 +15,9 @@ The search (:func:`search`) runs once and returns its trace, a decision-DNNF
 in the sense of Huang and Darwiche ("The language of search", JAIR 2007), as
 one list of parts, each a choice between nodes that set vertices true over
 independent parts earlier in the list, with the root last. Every question is
-a loop over that list. The search nests on a stack of its own, not Python's,
-so a chain of thousands of contexts is searched like any other input. This
+a loop over that list. The search nests on the package's one stack for
+nested walks (:func:`ohg.walk._drive`), not on Python's, so a chain of
+thousands of contexts is searched like any other input. This
 module holds the counting pass (:func:`part_counts`, also of the states
 false on a set of vertices) and :func:`count_states`; :mod:`ohg.pairwise`
 adds the passes for co-truth counts, and :mod:`ohg.states` those for the
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .model import Hypergraph, _bits
+from .walk import _drive
 
 
 def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
@@ -46,8 +48,9 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
     exactly on the vertices they force. The memo maps each component to its
     position, so a component met again is shared. With ``progress`` the root
     is branched as a whole, and ``progress(parts, branch)`` reports each
-    branch (a node or ``None``). The search keeps its own stack, so Python's
-    recursion limit does not bound how deep it nests.
+    branch (a node or ``None``). The search runs on the one driver of
+    nested walks, :func:`ohg.walk._drive`, so Python's recursion limit does
+    not bound how deep it nests.
     """
     masks, nbr = h.context_masks, h.neighbor_masks
     parts: list[tuple] = []
@@ -141,17 +144,9 @@ def search(h: Hypergraph, progress: Optional[Callable] = None) -> list[tuple]:
                 report(parts, b)
         return tuple(branches)
 
-    # node and branch yield each call they would make and are sent back its
-    # result: the search nests on this stack, not on Python's
-    stack, value = [node(0, 0, range(len(masks)), progress)], None
-    while stack:
-        try:
-            stack.append(stack[-1].send(value))
-            value = None
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-    parts.append((value,) if value else ())
+    # node and branch are walks: each yields the calls it would make
+    root = _drive(node(0, 0, range(len(masks)), progress))
+    parts.append((root,) if root else ())
     return parts
 
 

@@ -15,6 +15,7 @@ from . import core
 from .core import Graph, Hypergraph, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
 from .pairwise import CoTruth, cotruth
+from .walk import _drive
 
 if TYPE_CHECKING:
     from .states import TravisMatrix
@@ -218,7 +219,9 @@ def travis_equivalent(
     nodes = 0
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def place(pos: int) -> bool:
+    def place(pos: int):
+        """Try each feasible column for the ``pos``-th in ``order``, yielding
+        the walk of the next; whether a witness is found."""
         nonlocal nodes
         if pos == k:
             col_map = [assignment[i] for i in range(k)]
@@ -240,12 +243,12 @@ def travis_equivalent(
             if all(cooc1[i][i2] == cooc2[j][j2] for i2, j2 in assignment.items()):
                 assignment[i] = j
                 used[j] = True
-                if place(pos + 1):
+                if (yield place(pos + 1)):
                     return True
                 del assignment[i]
                 used[j] = False
         return False
 
-    if place(0):
+    if _drive(place(0)):
         return found[0]
     return None

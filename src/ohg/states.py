@@ -225,8 +225,11 @@ def _rows(trace: list[tuple], k: int, zeros: int = 0) -> list[int]:
     reading order (see the module docstring), unsorted. Parts are walked
     from the root down with ``now``, the vertices the nodes above set true:
     a leaf's state is ``now`` with its own forced vertices, and a node with
-    parts ORs one row of each part in every combination."""
-    def below(p: int, now: int) -> list[int]:
+    parts ORs one row of each part in every combination. The walk nests once
+    per level of the trace, on the walks' stack (:func:`ohg.walk._drive`)."""
+    from .walk import _drive  # with the search, not with every table
+
+    def below(p: int, now: int):
         rows: list[int] = []
         for forced, subs in trace[p]:
             if forced & zeros:
@@ -235,9 +238,9 @@ def _rows(trace: list[tuple], k: int, zeros: int = 0) -> list[int]:
             if not subs:
                 rows.append(_mirror(at, k))
                 continue
-            node_rows = below(subs[0], at)
+            node_rows = yield below(subs[0], at)
             for q in subs[1:]:
-                part_rows = below(q, at)
+                part_rows = yield below(q, at)
                 node_rows = [a | b for a in node_rows for b in part_rows]
             if rows:
                 rows += node_rows
@@ -245,7 +248,7 @@ def _rows(trace: list[tuple], k: int, zeros: int = 0) -> list[int]:
                 rows = node_rows
         return rows
 
-    return below(len(trace) - 1, 0)
+    return _drive(below(len(trace) - 1, 0))
 
 
 def check_row_budget(n: int, *, row_limit: Optional[int] = None) -> None:

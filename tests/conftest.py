@@ -269,6 +269,15 @@ def chain(n: int) -> str:
     return "".join(f"a{i} b{i} a{i + 1}\n" for i in range(n))
 
 
+def deep_trace(n: int) -> str:
+    """Context-file text of ``n`` contexts ``a{i} b{i} a{i+1}`` and ``n``
+    contexts ``b{i} c{i} d{i}``, with ``c{i} d{i+1}`` between neighbouring
+    ones: ``4n + 1`` vertices and ``n + 4`` states, whose trace nests about
+    ``n / 2`` parts deep."""
+    return "".join([*(f"a{i} b{i} a{i + 1}\nb{i} c{i} d{i}\n" for i in range(n)),
+                    *(f"c{i} d{i + 1}\n" for i in range(n - 1))])
+
+
 def chain_count(n: int) -> int:
     """The number of states of ``chain(n)``, the Fibonacci number F(n + 3):
     those with ``a{n}`` false are the states of ``chain(n - 1)``, and those

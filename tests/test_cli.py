@@ -730,6 +730,23 @@ def test_long_chain(tmp_path, n, argv, line):
     assert line in result.stdout.splitlines()
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (("chroma",), ["1000"]),
+    (("classify",), ["nTS: 1000", "unital: yes", "separable: yes",
+                     "perfectly-separable: yes", "semi-perfect: yes"]),
+    (("reconstruct",), ["verdict: reconstructable"]),
+], ids=["chroma", "classify", "reconstruct"])
+def test_wide_context(tmp_path, argv, lines):
+    # the clique search nests once per member, 1,000 members far past
+    # Python's recursion limit
+    path = tmp_path / "wide.ohg"
+    path.write_text(" ".join(f"v{i}" for i in range(1000)) + "\n")
+    result = run_ohg(argv[0], str(path), *argv[1:])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert set(lines) <= set(result.stdout.splitlines())
+
+
 def test_console_script_installed():
     result = run_ohg("count", "--na", "1", "--nb", "1", "--nn", "1")
     assert result.returncode == 0

@@ -283,6 +283,8 @@ def test_unknown_name_is_an_attribute_error():
 #   (``ohg.bindcount``) without the compositions (``ohg.gadgets``).
 # - The counting engine, ``ohg.engine``, loads only where states are counted
 #   or listed: not to print a fixture or its table, nor to colour exactly.
+# - The stack of the nested walks, ``ohg.walk``, loads with the engine or the
+#   clique search, and not for ``verify-for``.
 # - The table code, ``ohg.states``, loads only where a table is built or
 #   parsed, without the modules whose names it binds on first use.
 # - Only ``reconstruct`` loads core's graph algorithms, ``ohg.core``; the
@@ -291,16 +293,16 @@ def test_unknown_name_is_an_attribute_error():
 #   ``argparse`` never do.
 _ENTRY = {"ohg.cli", "ohg.errors", "ohg.commands"}
 _MODEL = {"ohg.model"}
-_COTRUTH = _MODEL | {"ohg.engine", "ohg.pairwise"}
-_TABLE = _MODEL | {"ohg.engine", "ohg.states"}
-_CHI = _MODEL | {"ohg.cliques", "ohg.chromatic"}
-_GADGETS = _MODEL | {"ohg.engine", "ohg.formats", "ohg.catalogue", "ohg.bindcount",
-                     "ohg.gadgets"}
+_COTRUTH = _MODEL | {"ohg.engine", "ohg.walk", "ohg.pairwise"}
+_TABLE = _MODEL | {"ohg.engine", "ohg.walk", "ohg.states"}
+_CHI = _MODEL | {"ohg.cliques", "ohg.walk", "ohg.chromatic"}
+_GADGETS = _MODEL | {"ohg.engine", "ohg.walk", "ohg.formats", "ohg.catalogue",
+                     "ohg.bindcount", "ohg.gadgets"}
 
 _COMMANDS = [
-    (("states", "{bug}", "--count-only"), _MODEL | {"ohg.engine"}),
+    (("states", "{bug}", "--count-only"), _MODEL | {"ohg.engine", "ohg.walk"}),
     (("states", "{bug}", "--count-only", "--format", "json"),
-     _MODEL | {"ohg.engine", "json"}),
+     _MODEL | {"ohg.engine", "ohg.walk", "json"}),
     (("states", "{bug}"), _TABLE | {"ohg.formats"}),
     (("states", "{bug}", "--out", "{matrix}"), _TABLE | {"ohg.formats"}),
     (("states", "{bug}", "--format", "json"), _TABLE | {"ohg.commands._json_rows", "json"}),
@@ -385,6 +387,31 @@ def test_python_m_cli_imports_cli_once(tmp_path):
                 if line.startswith("import time:")}
     assert "ohg.model" in imported
     assert "ohg.cli" not in imported
+
+
+def test_no_function_calls_itself():
+    # A walk that nests as deep as its input yields each sub-walk it would
+    # call to ``ohg.walk._drive``, which runs it on a stack of its own;
+    # ``yield f(...)`` only builds the sub-walk. A function that calls
+    # itself nests on Python's stack and crashes past its recursion limit.
+    # A method calls itself as ``self.name``; a bare ``name`` there is not it.
+    root = Path(ohg.__file__).parent
+    calls = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            itself = f"self.{func.name}" if id(func) in methods else func.name
+            yielded = {id(node.value) for node in ast.walk(func)
+                       if isinstance(node, ast.Yield)}
+            calls += [f"{path.relative_to(root)}:{node.lineno}: {func.name}"
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and id(node) not in yielded
+                      and ast.unparse(node.func) == itself]
+    assert calls == []
 
 
 def _module_names(body: list) -> set[str]:

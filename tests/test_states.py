@@ -1,5 +1,7 @@
 import hashlib
 import random
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -21,6 +23,8 @@ from conftest import (
     brute_force_true_sets,
     chain,
     chain_count,
+    child_options,
+    deep_trace,
     engine_true_sets,
     random_pasting,
     random_rows,
@@ -268,6 +272,24 @@ class TestCanonicalRows:
                                              if not r & t.rows[0]]
 
 
+_DEEP_CHILD = """
+import sys
+from ohg import formats, states
+from ohg.coloring import CanonicalRows
+
+h = formats.parse_ohg(sys.stdin.read())
+
+def answers():
+    order = CanonicalRows(h)
+    return states.enumerate_states(h).rows, order.disjoint(order.first())
+
+rows, disjoint = answers()
+sys.setrecursionlimit(100)
+print(answers() == (rows, disjoint), len(rows),
+      disjoint == [r for r in rows if not r & rows[0]])
+"""
+
+
 class TestCount:
     """Counts from the component-cached counter."""
 
@@ -309,6 +331,17 @@ class TestCount:
         h = formats.parse_ohg(chain(1000))
         assert states.count_states(h) == chain_count(1000)
         assert states.cotruth(formats.parse_ohg(chain(600))).nts == chain_count(600)
+
+    def test_deep_trace_under_a_low_recursion_limit(self):
+        # the rows' walk nests once per level of the trace, here about 150
+        # levels: the table and the rows disjoint from row 1 come out the
+        # same under a recursion limit of 100
+        result = subprocess.run(
+            [sys.executable, "-c", _DEEP_CHILD], input=deep_trace(300),
+            capture_output=True, text=True, timeout=120, **child_options(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True 304 True\n"
 
     def test_memo_shares_equal_components(self, bind_bug, bind_fig4):
         # a component met again in another branch is one part of the trace;
