@@ -5,7 +5,8 @@ The chromatic number (:func:`exact_coloring`) needs no state table. Each
 connected component of the 2-section is coloured on its own, trying
 k = ω, ω + 1, ... colours by a search with forward checking over
 colour-domain bitmasks, under a node budget instead of a cap on the number
-of vertices. At k = ω a context of ω vertices must show every colour; when
+of vertices. The search nests once per coloured vertex on the one driver of
+nested walks (:func:`ohg.walk._drive`). At k = ω a context of ω vertices must show every colour; when
 every context has ω vertices, the colouring found is a partition into ω
 two-valued states, the certificate of χ = ω.
 
@@ -22,6 +23,7 @@ from typing import Optional
 from .cliques import _clique_masks, _component_masks
 from .errors import DisconnectedError, NotProperError, OhgError, SizeLimitError
 from .model import Hypergraph, _bits, record
+from .walk import _drive
 
 # Search nodes exact_coloring may spend in all. A node costs ~76 us on the
 # 378 vertices of bind(fig4), so the budget runs out within about 4 s there.
@@ -141,33 +143,34 @@ def _k_coloring(
                         todo.append((m, only.bit_length()))
         return True
 
+    nodes = 0
+
+    def colour(col: list[int], dom: list[int]):
+        """Colour the free vertex with the fewest colours left, trying each
+        colour on copies of ``col`` and ``dom`` and yielding the walk of the
+        rest; the colouring, or ``None``."""
+        nonlocal nodes
+        free = [v for v in range(n) if not col[v]]
+        if not free:
+            return col
+        v = min(free, key=lambda v: (dom[v].bit_count(), rank[v]))
+        for c in _bits(dom[v] & (2 << max(col)) - 1):
+            nodes += 1
+            if nodes > cutoff:
+                return None
+            child_col, child_dom = col[:], dom[:]
+            if assign(child_col, child_dom, v, c + 1):
+                found = yield colour(child_col, child_dom)
+                if found is not None or nodes > cutoff:
+                    return found
+        return None
+
     col, dom = [0] * n, [full] * n
     for c, v in enumerate(seeds, start=1):
         if not assign(col, dom, v, c):
             return None, 0
-    nodes = 0
-    stack: list[tuple[list[int], list[int], int, int]] = []
-    while True:
-        free = [v for v in range(n) if not col[v]]
-        if not free:
-            return col, nodes
-        pick = min(free, key=lambda v: (dom[v].bit_count(), rank[v]))
-        stack.append((col, dom, pick, dom[pick] & (2 << max(col)) - 1))
-        while True:
-            if not stack:
-                return None, nodes
-            col, dom, v, values = stack[-1]
-            if not values:
-                stack.pop()
-                continue
-            low = values & -values
-            stack[-1] = (col, dom, v, values ^ low)
-            nodes += 1
-            if nodes > cutoff:
-                return None, nodes
-            col, dom = col[:], dom[:]
-            if assign(col, dom, v, low.bit_length()):
-                break
+    colors = _drive(colour(col, dom))
+    return colors, nodes
 
 
 def _rank(nbrs: list[list[int]], attempt: int) -> list[int]:

@@ -16,8 +16,14 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .cliques import ShapeReport, _clique_masks, _component_masks, shape  # noqa: F401 (re-exported)
+from .errors import SizeLimitError
 from .model import Hypergraph, _bits, build, record  # noqa: F401 (re-exported)
 from .walk import _drive
+
+# Dead ends is_isomorphic may reach: placements whose rest of the mapping
+# fails. The 4x4 rook's graph against the Shrikhande graph, both
+# 6-regular on 16 vertices, reaches 304 of them.
+_ISO_DEAD_ENDS = 10 ** 6
 
 
 @record
@@ -103,7 +109,8 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     bindings (a few hundred vertices) take milliseconds. The search nests
     once per vertex on the one driver of nested walks
     (:func:`ohg.walk._drive`), so Python's recursion limit does not bound
-    the vertices.
+    the vertices. Past :data:`_ISO_DEAD_ENDS` placements that lead nowhere
+    it raises :class:`SizeLimitError`.
     """
     # equal signatures give equal vertex counts and context sizes
     sig1, sig2 = _vertex_signature(h1), _vertex_signature(h2)
@@ -140,10 +147,12 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
             placed_nbrs[u] += 1
             heappush(heap, (-placed_nbrs[u], len(classes[sig1[u]]), names1[u], u))
     contexts2, image = set(h2.context_masks), [0] * n
+    dead_ends = 0
 
     def place(p: int, used: int):
         """Map the vertex of step ``p`` to each feasible candidate in turn,
         yielding the walk of the next step; whether the mapping completes."""
+        nonlocal dead_ends
         if p == n:
             return True
         v, earlier, completed = steps[p]
@@ -156,6 +165,11 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
                 image[v] = w
                 if (yield place(p + 1, used | bit)):
                     return True
+                dead_ends += 1
+                if dead_ends > _ISO_DEAD_ENDS:
+                    raise SizeLimitError(
+                        f"isomorphism search stopped after {_ISO_DEAD_ENDS} dead ends"
+                    )
         return False
 
     # Each context of h1 lands on a context of h2 as it is completed, and a

@@ -4,7 +4,9 @@ The adjacency criterion declares two vertices adjacent when no state makes
 them jointly true. Taking maximal cliques of that graph and dropping cliques
 below the clique number (the completion criterion) yields the canonical
 reconstruction, which equals the source exactly for perfectly separable
-hypergraphs and otherwise reveals surplus structure.
+hypergraphs and otherwise reveals surplus structure. Two state tables are
+compared up to row and column permutations by :func:`travis_equivalent`, on
+the package's one isomorphism search (:func:`ohg.core.is_isomorphic`).
 """
 
 from __future__ import annotations
@@ -15,18 +17,14 @@ from . import core
 from .core import Graph, Hypergraph, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
 from .pairwise import CoTruth, cotruth
-from .walk import _drive
 
 if TYPE_CHECKING:
     from .states import TravisMatrix
 
-# The node budget counts column placements only. Each full column assignment
-# then permutes rows of ``t1`` until one misses ``t2``, work that nothing
-# counts: on bind(bug), 108 columns and 2,239,488 rows, with this cap lifted,
-# the first assignment came after 2.5 s, and one that holds took 30-37 s
-# (2-core Xeon, Python 3.11).
+# The rows' hypergraphs are built before the search starts, one set of names
+# per row: about 2.3 kB a row on bind(bug), whose 2,239,488 rows of 108
+# columns would take about 5 GB.
 _EQUIV_COLUMN_CAP = 32
-_EQUIV_NODE_BUDGET = 10 ** 6
 
 
 @record
@@ -167,23 +165,6 @@ def verdict(h: Hypergraph, *, n: Optional[int] = None) -> Verdict:
     return evaluate(h, n=n)[0]
 
 
-def _column_invariants(t: TravisMatrix) -> list[tuple]:
-    cooc = t.cooc
-    inv = []
-    for i in range(t.n_cols):
-        off = sorted(cooc[i][j] for j in range(t.n_cols) if j != i)
-        inv.append((cooc[i][i], tuple(off)))
-    return inv
-
-
-def _permute_row(row: int, col_map: list[int], k: int) -> int:
-    # rows are in reading order: bit b holds column k - 1 - b
-    out = 0
-    for b in core._bits(row):
-        out |= 1 << (k - 1 - col_map[k - 1 - b])
-    return out
-
-
 def travis_equivalent(
     t1: TravisMatrix,
     t2: TravisMatrix,
@@ -192,63 +173,29 @@ def travis_equivalent(
 
     On success returns ``(row_map, col_map)`` with
     ``t1.bit(r, c) == t2.bit(row_map[r], col_map[c])`` for all entries;
-    ``None`` when no such pair exists. Search is column-signature refinement
-    (column weight plus the multiset of pairwise co-truth counts) followed by
-    backtracking, so it is meant for reference-table-scale matrices; exceeding the
-    node budget or the column cap raises :class:`SizeLimitError`.
+    ``None`` when no such pair exists. A table's rows are distinct, so a
+    column permutation fixes the row permutation, and the tables are
+    equivalent exactly when the hypergraphs whose contexts are their rows'
+    true sets are isomorphic (:func:`~ohg.core.is_isomorphic`). Those
+    hypergraphs are built before any search starts, so more than
+    :data:`_EQUIV_COLUMN_CAP` columns raise :class:`SizeLimitError`, as does
+    a search past its budget.
     """
+    # the row count also covers an all-zero row: its empty context changes
+    # no vertex's signature
     if t1.n_rows != t2.n_rows or t1.n_cols != t2.n_cols:
         return None
-    k = t1.n_cols
-    if k > _EQUIV_COLUMN_CAP:
+    if t1.n_cols > _EQUIV_COLUMN_CAP:
         raise SizeLimitError(
             f"equivalence search supports at most {_EQUIV_COLUMN_CAP} columns"
         )
-    inv1 = _column_invariants(t1)
-    inv2 = _column_invariants(t2)
-    if sorted(inv1) != sorted(inv2):
+    h1, h2 = (Hypergraph(t.vertices, tuple(map(t.row_true_set, range(t.n_rows))))
+              for t in (t1, t2))
+    mapping = core.is_isomorphic(h1, h2)
+    if mapping is None:
         return None
-    candidates = [
-        [j for j in range(k) if inv2[j] == inv1[i]] for i in range(k)
-    ]
-    order = sorted(range(k), key=lambda i: (len(candidates[i]), i))
-    cooc1, cooc2 = t1.cooc, t2.cooc
-    row_position = {row: s for s, row in enumerate(t2.rows)}
-    assignment: dict[int, int] = {}
-    used = [False] * k
-    nodes = 0
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def place(pos: int):
-        """Try each feasible column for the ``pos``-th in ``order``, yielding
-        the walk of the next; whether a witness is found."""
-        nonlocal nodes
-        if pos == k:
-            col_map = [assignment[i] for i in range(k)]
-            row_map = []
-            for r in t1.rows:
-                s = row_position.get(_permute_row(r, col_map, k))
-                if s is None:
-                    return False
-                row_map.append(s)
-            found.append((tuple(row_map), tuple(col_map)))
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            nodes += 1
-            if nodes > _EQUIV_NODE_BUDGET:
-                raise SizeLimitError("equivalence search exceeded its node budget")
-            if all(cooc1[i][i2] == cooc2[j][j2] for i2, j2 in assignment.items()):
-                assignment[i] = j
-                used[j] = True
-                if (yield place(pos + 1)):
-                    return True
-                del assignment[i]
-                used[j] = False
-        return False
-
-    if _drive(place(0)):
-        return found[0]
-    return None
+    col_map = tuple(h2.index[mapping[v]] for v in t1.vertices)
+    row_of = {ctx: s for s, ctx in enumerate(h2.contexts)}
+    row_map = tuple(row_of[frozenset(map(mapping.__getitem__, ctx))]
+                    for ctx in h1.contexts)
+    return row_map, col_map

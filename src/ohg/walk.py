@@ -2,9 +2,10 @@
 
 A walk is a generator that yields each sub-walk it would call and is sent
 back the sub-walk's return value. The search over states, the rows built
-from its trace, the clique search and the two isomorphism searches are such
-walks, so they nest on a list here and not on Python's stack: no input is
-refused, and none crashes, for nesting deep.
+from its trace, the clique search, the isomorphism search (which also
+compares state tables) and the exact colouring are such walks, so they nest
+on a list here and not on Python's stack: no input is refused, and none
+crashes, for nesting deep.
 """
 
 from typing import Generator

@@ -390,6 +390,32 @@ class TestColorToState:
         assert classes == {ref.row_true_set(r - 1) for r in selection.rows}
 
 
+def _scrambled(h, k):
+    """``h`` with its contexts and their members shuffled by a seeded
+    generator."""
+    contexts = [sorted(c, key=h.index.__getitem__) for c in h.contexts]
+    rng = random.Random(f"scramble:{k}")
+    rng.shuffle(contexts)
+    for ctx in contexts:
+        rng.shuffle(ctx)
+    return core.build(contexts)
+
+
+def _attempts(h, monkeypatch):
+    """``(k, cutoff, nodes, found)`` of each ``_k_coloring`` attempt that
+    ``exact_coloring(h)`` makes."""
+    attempts, attempt = [], chromatic._k_coloring
+
+    def logged(k, nbrs, tight, seeds, rank, cutoff):
+        colors, nodes = attempt(k, nbrs, tight, seeds, rank, cutoff)
+        attempts.append((k, cutoff, nodes, colors is not None))
+        return colors, nodes
+
+    monkeypatch.setattr(chromatic, "_k_coloring", logged)
+    exact_coloring(h)
+    return attempts
+
+
 class TestChromatic:
     @pytest.mark.parametrize("name,chi", [
         ("k3", 3), ("triangle", 3), ("pentagon", 3), ("bug", 3),
@@ -427,15 +453,23 @@ class TestChromatic:
     # the seeded restarts must still answer within the budget
     @pytest.mark.parametrize("k", range(4))
     def test_bind_fig4_scrambles(self, bind_fig4, k):
-        idx = bind_fig4.index
-        contexts = [sorted(c, key=idx.__getitem__) for c in bind_fig4.contexts]
-        rng = random.Random(f"scramble:{k}")
-        rng.shuffle(contexts)
-        for ctx in contexts:
-            rng.shuffle(ctx)
+        h = _scrambled(bind_fig4, k)
         start = time.perf_counter()
-        assert exact_chromatic(core.build(contexts)) == 3
+        assert exact_chromatic(h) == 3
         assert time.perf_counter() - start < 5
+
+    # the nodes of each attempt decide when the budget stops a search
+    @pytest.mark.parametrize("name, scramble, attempts", [
+        ("bind_fig4", None, [(3, 378, 379, False), (3, 756, 103, True)]),
+        ("bind_fig4", 0, [(3, 378, 108, True)]),
+        ("bind_fig4", 2, [(3, 378, 379, False), (3, 756, 613, True)]),
+        ("g32", None, [(3, 15, 2, False), (4, 15, 10, True)]),
+    ])
+    def test_attempts(self, request, monkeypatch, name, scramble, attempts):
+        h = request.getfixturevalue(name)
+        if scramble is not None:
+            h = _scrambled(h, scramble)
+        assert _attempts(h, monkeypatch) == attempts
 
     def test_size_limit(self, bind_bug, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(chromatic, "_NODE_BUDGET", 10)

@@ -10,6 +10,7 @@ from ohg.errors import (
     DuplicateContextError,
     EmptyContextError,
     InvalidVertexNameError,
+    SizeLimitError,
     SubsetContextError,
 )
 
@@ -219,6 +220,25 @@ class TestIsomorphism:
         mapping = core.is_isomorphic(h, g)
         assert {frozenset(mapping[v] for v in c) for c in h.contexts} \
             == set(g.contexts)
+
+    def test_dead_end_budget(self, monkeypatch):
+        # two strongly regular graphs with the same parameters (16, 6, 2, 2),
+        # as 48 two-vertex contexts each: every vertex has one signature, so
+        # only the search tells them apart
+        def cayley(steps):
+            edges = {tuple(sorted((f"x{a}{b}", f"x{(a + d) % 4}{(b + e) % 4}")))
+                     for a in range(4) for b in range(4) for d, e in steps}
+            return core.build(sorted(edges))
+
+        rook = cayley([(0, 1), (0, 2), (1, 0), (2, 0)])
+        shrikhande = cayley([(0, 1), (1, 0), (1, 1)])
+        assert len(rook.contexts) == len(shrikhande.contexts) == 48
+        assert {m.bit_count() for m in rook.neighbor_masks} \
+            == {m.bit_count() for m in shrikhande.neighbor_masks} == {6}
+        assert core.is_isomorphic(rook, shrikhande) is None
+        monkeypatch.setattr(core, "_ISO_DEAD_ENDS", 10)
+        with pytest.raises(SizeLimitError, match="after 10 dead ends"):
+            core.is_isomorphic(rook, shrikhande)
 
 
 class TestFourCycleLint:

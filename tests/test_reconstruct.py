@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -113,14 +114,52 @@ class TestTravisEquivalent:
         assert travis_equivalent(ref, broken) is None
 
     def test_same_column_invariants_not_equivalent(self):
-        # every column sum is 2 and every pair is true together once, so
-        # every column assignment is tried, but the row weights differ
+        # equal co-truth counts (every column sum 2, every pair true together
+        # once) and different row weights
         t1 = states.TravisMatrix.from_bit_rows("abc", [(1, 1, 0), (1, 0, 1), (0, 1, 1),
                                                         (0, 0, 0)])
         t2 = states.TravisMatrix.from_bit_rows("abc", [(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                                         (1, 1, 1)])
         assert t1.cooc == t2.cooc == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
         assert travis_equivalent(t1, t2) is None
+
+    def test_against_brute_force(self):
+        # random distinct rows of 0-5 columns, all-zero and single-1 rows
+        # included, against a search over every column permutation
+        for seed in range(300):
+            rng = random.Random(f"travis:{seed}")
+            k = rng.randrange(6)
+            pool = range(1 << k)
+            t1 = states.TravisMatrix(tuple("abcde"[:k]),
+                                     tuple(rng.sample(pool, rng.randint(1, len(pool)))))
+            t2 = shuffled_copy(t1, rng)
+            unused = sorted(set(pool) - set(t2.rows))
+            if unused and rng.random() < 0.5:
+                # a near miss: one row swapped for a row the table lacks
+                rows = list(t2.rows)
+                rows[rng.randrange(len(rows))] = rng.choice(unused)
+                t2 = states.TravisMatrix(t2.vertices, tuple(rows))
+            brute = any(
+                {sum(t1.bit(r, c) << k - 1 - perm[c] for c in range(k))
+                 for r in range(t1.n_rows)} == set(t2.rows)
+                for perm in itertools.permutations(range(k)))
+            witness = travis_equivalent(t1, t2)
+            assert (witness is not None) == brute, seed
+            if witness is not None:
+                row_map, col_map = witness
+                assert sorted(row_map) == list(range(t1.n_rows))
+                assert sorted(col_map) == list(range(k))
+                for r in range(t1.n_rows):
+                    for c in range(k):
+                        assert t1.bit(r, c) == t2.bit(row_map[r], col_map[c]), seed
+
+    def test_all_zero_row(self):
+        # the empty true set of an all-zero row changes no column, so only
+        # the row count tells these apart
+        t = states.TravisMatrix.from_bit_rows("ab", [(1, 0), (0, 1), (0, 0)])
+        without = states.TravisMatrix.from_bit_rows("ab", [(1, 0), (0, 1)])
+        assert travis_equivalent(t, without) is None
+        assert travis_equivalent(t, t) is not None
 
     def test_size_limit(self, bind_bug_matrix):
         with pytest.raises(SizeLimitError):
