@@ -291,7 +291,7 @@ def paper_coloring(
     So a find there, with row 1 in front, is the whole table's find, numbered
     by canonical ranks (:class:`CanonicalRows`), and a stop at the
     work budget there is a stop on the whole table too. Only ``None`` leaves
-    the answer to the whole table, whose find then does not contain row 1.
+    the answer to the whole table, ``disjoint(0)``, whose find lacks row 1.
     """
     if n < 1:
         raise OhgError("the number of colors must be positive")
@@ -311,7 +311,7 @@ def paper_coloring(
         rows = (first, *(rest.rows[r - 1] for r in found.rows))
         cells = tuple(map(states.TravisMatrix(h.vertices, rows).row_true_set, range(n)))
         return RowSelection(tuple(map(order.rank, rows))), PartitionSystem(h, cells)
-    t = states.enumerate_states(h)
+    t = states.TravisMatrix(h.vertices, tuple(order.disjoint(0)))
     selection = algorithm1(t, n)
     if selection is None:
         return None

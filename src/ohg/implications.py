@@ -1,7 +1,7 @@
 """Implications between the vertices of a gadget, read from pairwise
 co-truth counts: the true-implies-false and true-implies-true pairs
-(:func:`gadget_scan`) and the state counts at a (head, tail) pair
-(:func:`gadget_profile`).
+(:func:`gadget_scan`, from the verdict masks of :func:`ohg.pairwise._masks`)
+and the state counts at a (head, tail) pair (:func:`gadget_profile`).
 
 Both take a state table or the co-truth counts of
 :func:`~ohg.pairwise.cotruth`. :mod:`ohg.states` binds these names on first
@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ColumnCountMismatchError, NotAGadgetPairError, OhgError
-from .model import Hypergraph, record
+from .model import Hypergraph, _bits, record
+from .pairwise import CoTruth, _masks
 
 if TYPE_CHECKING:
-    from .pairwise import CoTruth
     from .states import TravisMatrix
 
 
@@ -53,20 +53,16 @@ def gadget_scan(h: Hypergraph, t: TravisMatrix | CoTruth) -> GadgetScan:
         )
     if t.n_rows == 0:
         raise OhgError("gadget_scan needs at least one two-valued state")
-    cooc = t.cooc
-    colsum = t.column_sums
+    met, implied = _masks(t.cooc)
     names, nbr = h.vertices, h.neighbor_masks
-    k = t.n_cols
+    full = (1 << t.n_cols) - 1
     tifs = set()
     tits = set()
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if cooc[i][j] == 0 and not nbr[i] >> j & 1:
-                tifs.add((names[i], names[j]))
-            if colsum[i] > 0 and cooc[i][j] == colsum[i]:
-                tits.add((names[i], names[j]))
+    for i, m in enumerate(met):
+        others = full & ~(1 << i)
+        tifs.update((names[i], names[j]) for j in _bits(others & ~(m | nbr[i])))
+        if m >> i & 1:
+            tits.update((names[i], names[j]) for j in _bits(others & implied[i]))
     return GadgetScan(frozenset(tifs), frozenset(tits))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from . import core
-from .core import Graph, Hypergraph, record
+from .core import Graph, Hypergraph, _bits, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
-from .pairwise import CoTruth, cotruth
+from .pairwise import CoTruth, _cotruth_rows, _first_equal_pair, _masks
 
 if TYPE_CHECKING:
     from .states import TravisMatrix
@@ -55,6 +55,21 @@ class Verdict:
         return self.kind == "reconstructable"
 
 
+def _adjacency(vertices: tuple[str, ...], met: list[int]) -> Graph:
+    """:func:`adjacency_from_states` from the ``met`` masks of
+    :func:`~ohg.pairwise._masks`."""
+    for j, m in enumerate(met):
+        if not m >> j & 1:
+            raise AllZeroColumnError(
+                f"column {vertices[j]!r} is never true; the state table is not unital"
+            )
+    full = (1 << len(vertices)) - 1
+    return Graph(vertices, frozenset(
+        frozenset((vertices[i], vertices[j]))
+        for i, m in enumerate(met) for j in _bits(full & ~m & -2 << i)
+    ))
+
+
 def adjacency_from_states(t: TravisMatrix | CoTruth) -> Graph:
     """The graph the adjacency criterion induces: an edge wherever two
     columns are never jointly 1.
@@ -64,19 +79,25 @@ def adjacency_from_states(t: TravisMatrix | CoTruth) -> Graph:
     """
     if t.n_rows == 0:
         raise OhgError("adjacency criterion needs at least one state")
-    cooc = t.cooc
-    colsum = t.column_sums
-    for j in range(t.n_cols):
-        if colsum[j] == 0:
-            raise AllZeroColumnError(
-                f"column {t.vertices[j]!r} is never true; the state table is not unital"
-            )
-    edges = set()
-    for i in range(t.n_cols):
-        for j in range(i + 1, t.n_cols):
-            if cooc[i][j] == 0:
-                edges.add(frozenset((t.vertices[i], t.vertices[j])))
-    return Graph(t.vertices, frozenset(edges))
+    return _adjacency(t.vertices, _masks(t.cooc)[0])
+
+
+def _rebuild(
+    raw_graph: Graph, n: int, source: Optional[Hypergraph]
+) -> ReconstructionResult:
+    """:func:`reconstruct` from the adjacency-criterion graph."""
+    cliques = core.maximal_cliques(raw_graph)
+    raw = Hypergraph(raw_graph.vertices, cliques)
+    kept = tuple(c for c in cliques if len(c) >= n)
+    filtered = Hypergraph(raw_graph.vertices, kept)
+    extra: tuple[frozenset[str], ...] = ()
+    missing: tuple[frozenset[str], ...] = ()
+    if source is not None:
+        src = set(source.contexts)
+        got = set(kept)
+        extra = tuple(sorted(got - src, key=sorted))
+        missing = tuple(sorted(src - got, key=sorted))
+    return ReconstructionResult(raw_graph, raw, filtered, extra, missing)
 
 
 def reconstruct(
@@ -94,19 +115,7 @@ def reconstruct(
     """
     if n < 3:
         raise OhgError("reconstruction is defined for clique number n >= 3")
-    raw_graph = adjacency_from_states(t)
-    cliques = core.maximal_cliques(raw_graph)
-    raw = Hypergraph(t.vertices, cliques)
-    kept = tuple(c for c in cliques if len(c) >= n)
-    filtered = Hypergraph(t.vertices, kept)
-    extra: tuple[frozenset[str], ...] = ()
-    missing: tuple[frozenset[str], ...] = ()
-    if source is not None:
-        src = set(source.contexts)
-        got = set(kept)
-        extra = tuple(sorted(got - src, key=sorted))
-        missing = tuple(sorted(src - got, key=sorted))
-    return ReconstructionResult(raw_graph, raw, filtered, extra, missing)
+    return _rebuild(adjacency_from_states(t), n, source)
 
 
 def evaluate(
@@ -123,25 +132,23 @@ def evaluate(
     Only the canonical reconstruction is tested, which is sound but does not
     quantify over every table-equivalent hypergraph. Non-unital input
     propagates :class:`AllZeroColumnError`. Everything is decided from the
-    co-truth counts of :func:`~ohg.pairwise.cotruth`, so no state table is
-    built.
+    masks of :func:`~ohg.pairwise._masks`, folded a row at a time from the
+    trace's co-truth counts, so neither a table nor all the counts are held.
     """
-    t = cotruth(h)
-    if t.n_rows == 0:
+    nts, rows = _cotruth_rows(h)
+    if nts == 0:
         return Verdict("empty"), None
-    cooc = t.cooc
-    colsum = t.column_sums
-    for i in range(t.n_cols):
-        for j in range(i + 1, t.n_cols):
-            if cooc[i][j] == colsum[i] == colsum[j]:
-                return Verdict(
-                    "non_separable", witness=(t.vertices[i], t.vertices[j])
-                ), None
+    met, implied = _masks(rows)
+    pair = _first_equal_pair(implied)
+    if pair:
+        return Verdict(
+            "non_separable", witness=(h.vertices[pair[0]], h.vertices[pair[1]])
+        ), None
     if n is None:
         n = core.shape(h).clique_number
     if n < 3:
         raise OhgError("reconstructability verdicts need clique number >= 3")
-    rec = reconstruct(t, n, source=h)
+    rec = _rebuild(_adjacency(h.vertices, met), n, h)
     # Isomorphic is equal here. An isomorphism from h onto the reconstruction
     # F keeps context sizes, so h's contexts have >= n vertices and, as
     # cliques of the adjacency graph G, lie in contexts of F: S(h) <= S(F) for

@@ -13,10 +13,10 @@ trace first and refuses a table above :data:`ROW_BUDGET` rows. It imports
 the engine when it runs, so that a table read from a file or a fixture, and
 its co-truth counts, load no search.
 
-Pairwise co-truth counts have one form, from a table
-(:attr:`TravisMatrix.cooc`) or from the trace (:func:`cotruth`): a
-``k``-tuple of ``k``-tuples of exact Python ints, ``cooc[i][j]``, since the
-counts of the 378-vertex binding pass 2**63. The co-truth counts and the
+Pairwise co-truth counts come from a table (:attr:`TravisMatrix.cooc`) or
+the trace (:func:`cotruth`) as ``k`` × ``k`` exact ints, since the counts of
+the 378-vertex binding pass 2**63, and the verdicts read them in one form,
+two masks per vertex (:func:`ohg.pairwise._masks`). The counts and the
 analyses read from them live apart, so that the commands that need only
 those do not load the table code: :func:`cotruth` and :func:`classify` in
 :mod:`ohg.pairwise`, :func:`gadget_scan` and :func:`gadget_profile` in

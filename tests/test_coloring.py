@@ -272,26 +272,33 @@ class TestPaperColoring:
     @pytest.mark.parametrize("name, table", [("bug", False), ("pasting202", True)])
     def test_table_only_as_fallback(self, monkeypatch, name, table):
         # the find of random_pasting(Random(202), size=4) does not start with
-        # row 1 (test_find_without_row_one), so only the whole table finds it
-        built = []
-        enumerate_states = states.enumerate_states
-        monkeypatch.setattr(states, "enumerate_states",
-                            lambda h: built.append(h) or enumerate_states(h))
+        # row 1 (test_find_without_row_one), so only the whole table finds it;
+        # the whole table is the states disjoint from the empty row, read off
+        # the one search
+        disjoint_from, searches = [], []
+        disjoint, search = coloring.CanonicalRows.disjoint, coloring.search
+        monkeypatch.setattr(coloring.CanonicalRows, "disjoint",
+                            lambda self, row: disjoint_from.append(row) or disjoint(self, row))
+        monkeypatch.setattr(coloring, "search", lambda h: searches.append(h) or search(h))
         if name == "bug":
             h, n = gadgets.fixture(name).hypergraph, 3
         else:
             h, n = random_pasting(random.Random(202), size=4), 4
         assert paper_coloring(h, n) is not None
-        assert bool(built) == table
+        assert (0 in disjoint_from) == table
+        assert searches == [h]
 
     def test_stop_while_row_one_stands(self, bind_bug, monkeypatch):
         # a stop among the states disjoint from row 1 is a stop on the
         # whole table too, so the table is not built
-        def refuse(h):
-            raise AssertionError("the whole table was built")
+        disjoint = coloring.CanonicalRows.disjoint
+
+        def refuse_whole_table(self, row):
+            assert row, "the whole table was built"
+            return disjoint(self, row)
 
         monkeypatch.setattr(coloring, "_ALGORITHM1_TEST_BUDGET", 1)
-        monkeypatch.setattr(states, "enumerate_states", refuse)
+        monkeypatch.setattr(coloring.CanonicalRows, "disjoint", refuse_whole_table)
         with pytest.raises(SizeLimitError, match="row-conflict tests"):
             paper_coloring(bind_bug, 3)
 

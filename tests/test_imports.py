@@ -178,15 +178,18 @@ def test_states_needs_no_name_it_binds_on_first_use():
     # A module's ``__getattr__`` serves attribute access, not the global
     # lookups of the module's own functions: a function of ``ohg.states``
     # that read a name bound on first use would raise NameError here.
-    # Nor do a table's counts load the search.
+    # Nor do a table's counts load the search, nor the verdicts on them.
     child = ("import sys, ohg.states; "
              "t = ohg.states.TravisMatrix.from_bit_rows('abc', [(1, 0, 0), (0, 1, 1)]); "
              "print(t.column_sums, t.cooc); "
-             "print(sorted({'ohg.pairwise', 'ohg.engine'} & set(sys.modules)))")
+             "print(sorted({'ohg.pairwise', 'ohg.engine'} & set(sys.modules))); "
+             "h = ohg.model.Hypergraph(tuple('abc'), (frozenset('ab'),)); "
+             "ohg.states.gadget_scan(h, t); ohg.states.classify(h, t); "
+             "print('ohg.engine' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", child], capture_output=True,
                             text=True, timeout=60, **child_options())
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "(1, 1, 1) ((1, 0, 0), (0, 1, 1), (0, 1, 1))\n[]\n"
+    assert result.stdout == "(1, 1, 1) ((1, 0, 0), (0, 1, 1), (0, 1, 1))\n[]\nFalse\n"
 
 
 @pytest.mark.parametrize("module", [states, formats], ids=lambda m: m.__name__)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohg import core, engine, formats, gadgets, states
+from ohg import core, engine, formats, gadgets, reconstruction, states
 from ohg.errors import (
+    AllZeroColumnError,
     ColumnCountMismatchError,
     NotAGadgetPairError,
     OhgError,
@@ -443,10 +445,13 @@ class TestCoTruth:
         assert (p.n_a, p.n_b, p.n_n) == (45, 504, 2040)
 
     def test_analyses_agree_with_table(self, bug, pentagon, g32):
-        for h in (bug, pentagon, g32):
+        rng = random.Random(36)
+        pastings = [random_pasting(rng, size=rng.randint(2, 4)) for _ in range(40)]
+        for h in (bug, pentagon, g32, *pastings):
             c, t = states.cotruth(h), states.enumerate_states(h)
             assert states.classify(h, c) == states.classify(h, t)
-            assert states.gadget_scan(h, c) == states.gadget_scan(h, t)
+            if t.n_rows:
+                assert states.gadget_scan(h, c) == states.gadget_scan(h, t)
 
     @given(relabelled())
     @settings(max_examples=40, deadline=None)
@@ -593,6 +598,109 @@ class TestGadgetScan:
         h = core.build(CONTRADICTORY)
         with pytest.raises(OhgError):
             states.gadget_scan(h, states.enumerate_states(h))
+
+
+@st.composite
+def verdict_tables(draw):
+    """A hypergraph and a table to read verdicts from: either the states of
+    a random pasting of 2-, 3- or 4-vertex contexts or of a small fixture,
+    or distinct rows over up to 8 columns, some all zero, all one or copies
+    of an earlier column, with random contexts over the same columns."""
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            h = gadgets.fixture(draw(st.sampled_from(
+                ("k3", "triangle", "pentagon", "bug", "g32", "g32x", "underlying")))).hypergraph
+        else:
+            rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+            h = random_pasting(rng, max_contexts=5, size=draw(st.integers(2, 4)))
+        return h, states.enumerate_states(h), True
+    k = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 10))
+    columns: list[list[int]] = []
+    for j in range(k):
+        kind = draw(st.sampled_from(("zeros", "ones", "copy", "random", "random", "random")))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, j - 1))])
+        elif kind in ("zeros", "ones"):
+            columns.append([int(kind == "ones")] * n)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    rows = list(dict.fromkeys(zip(*columns))) if k else [()] * min(n, 1)
+    vertices = tuple(f"c{j}" for j in range(k))
+    contexts = draw(st.lists(st.sets(st.sampled_from(vertices), min_size=2), max_size=3)
+                    if k > 1 else st.just([]))
+    h = core.Hypergraph(vertices, tuple(map(frozenset, contexts)))
+    return h, states.TravisMatrix.from_bit_rows(vertices, rows), False
+
+
+class TestVerdictsAgainstRows:
+    """Every reader of the verdict masks against the rows themselves."""
+
+    @given(verdict_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_readers(self, case):
+        h, t, pasting = case
+        vs, k = t.vertices, t.n_cols
+        true_in = [frozenset(r for r in range(t.n_rows) if t.bit(r, j)) for j in range(k)]
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        equal = [(i, j) for i, j in pairs if true_in[i] == true_in[j]]
+        conditions = {(i, j): (bool(true_in[j] - true_in[i]), bool(true_in[i] - true_in[j]),
+                               h.adjacent(vs[i], vs[j]) or bool(true_in[i] & true_in[j]))
+                      for i, j in pairs}
+        failing = [(i, j) for i, j in pairs if not all(conditions[i, j])]
+        witness = None
+        if failing:
+            i, j = failing[0]
+            witness = (vs[i], vs[j], conditions[i, j].index(False) + 1)
+        assert states.classify(h, t) == states.StateClassification(
+            nts=t.n_rows,
+            unital=t.n_rows > 0 and all(true_in),
+            separable=not equal,
+            perfectly_separable=not failing,
+            fail_witness=witness,
+        )
+
+        never = frozenset((vs[i], vs[j]) for i in range(k) for j in range(k)
+                          if i != j and not true_in[i] & true_in[j])
+        if t.n_rows:
+            scan = states.gadget_scan(h, t)
+            assert scan.tifs_pairs == {(u, v) for u, v in never if not h.adjacent(u, v)}
+            assert scan.tits_pairs == {(vs[i], vs[j]) for i in range(k) for j in range(k)
+                                       if i != j and true_in[i] and true_in[i] <= true_in[j]}
+        else:
+            with pytest.raises(OhgError, match="at least one"):
+                states.gadget_scan(h, t)
+
+        zero = next((vs[j] for j in range(k) if not true_in[j]), None)
+        edges = {frozenset(p) for p in never}
+        if not t.n_rows:
+            with pytest.raises(OhgError, match="at least one state"):
+                reconstruction.adjacency_from_states(t)
+        elif zero is not None:
+            with pytest.raises(AllZeroColumnError, match=re.escape(f"column {zero!r}")):
+                reconstruction.adjacency_from_states(t)
+        else:
+            assert reconstruction.adjacency_from_states(t).edges == edges
+        if not pasting:
+            return
+
+        # the table is h's states, which evaluate reads without it
+        if not t.n_rows:
+            assert reconstruction.evaluate(h) == (reconstruction.Verdict("empty"), None)
+        elif equal:
+            (i, j), *_ = equal
+            assert reconstruction.evaluate(h) == (
+                reconstruction.Verdict("non_separable", witness=(vs[i], vs[j])), None)
+        elif core.shape(h).clique_number < 3:
+            with pytest.raises(OhgError, match="clique number >= 3"):
+                reconstruction.evaluate(h)
+        elif zero is not None:
+            with pytest.raises(AllZeroColumnError, match=re.escape(f"column {zero!r}")):
+                reconstruction.evaluate(h)
+        else:
+            verdict, rec = reconstruction.evaluate(h)
+            assert verdict.kind in ("reconstructable", "extra_structure")
+            assert rec.raw_graph.edges == edges
 
 
 class TestGadgetProfile:
