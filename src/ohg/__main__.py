@@ -1,5 +1,40 @@
+"""The entry of ``python -m ohg`` and of the ``ohg`` console script,
+:func:`run`. ``python -m ohg.cli`` and in-process calls of
+:func:`ohg.cli.main` keep the interpreter's usual exit."""
+
+import os
 import sys
 
 from .cli import main
 
-sys.exit(main())
+
+def run() -> None:
+    """Run :func:`ohg.cli.main`, flush stdout and stderr, and end the process
+    with its exit code through :func:`os._exit`.
+
+    That skips the interpreter's teardown, its module clean-up and final
+    collection, which nothing in the package needs: its files are closed
+    before ``main`` returns, and it starts no thread or process and
+    registers no :mod:`atexit` hook. An ``OSError`` from writing the output,
+    such as a full disk, ends with one ``error:`` line and exit 2, and the
+    buffer that failed is not written again. Any other exception, the
+    parser's ``SystemExit`` and a ``BrokenPipeError`` that ``main`` left
+    alone included, takes the usual way out.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+        code = 2
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

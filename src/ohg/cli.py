@@ -3,11 +3,14 @@
 Reports go to stdout, diagnostics and progress to stderr. Exit codes:
 0 success, 1 negative verdict (no coloring, not reconstructable, labeling
 rejected), 2 usage or input error (also a ``--out`` file that cannot be
-written). ``--format json`` makes every report machine readable with the
-stable keys {vertices, contexts, nTS, verdicts, rows, extraContexts} where
-applicable. State matrices are written in chunks of a few thousand rows; when
-the reader of standard output closes the pipe early, the command stops
-quietly with exit code 141, as a program killed by SIGPIPE would.
+written, and, under ``python -m ohg`` or the ``ohg`` script, whose entry is
+:func:`ohg.__main__.run`, standard output that cannot be written), 141 for a
+closed pipe (below). ``--format json`` makes every report machine readable
+with the stable keys {vertices, contexts, nTS, verdicts, rows,
+extraContexts} where applicable. State matrices are written in chunks of a
+few thousand rows; when the reader of standard output closes the pipe early,
+the command stops quietly with exit code 141, as a program killed by SIGPIPE
+would.
 
 This module holds the entry point and the command-line reader;
 :mod:`ohg.commands` holds the list of subcommands and the helpers they

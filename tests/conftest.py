@@ -84,12 +84,12 @@ def bind_bug_matrix(bind_bug):
 
 
 def ohg_argv(*args: str) -> list[str]:
-    return [sys.executable, "-m", "ohg.cli", *args]
+    return [sys.executable, "-m", "ohg", *args]
 
 
 def child_options(address_space: Optional[int] = None) -> dict:
     """Keyword arguments for ``subprocess`` that let a child ``python -m
-    ohg.cli`` import the package under test, installed or not, optionally
+    ohg`` import the package under test, installed or not, optionally
     under an ``RLIMIT_AS`` cap of ``address_space`` bytes, so that a command
     that grows without bound fails its test instead of exhausting memory."""
     env = dict(os.environ)

@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -753,6 +755,101 @@ def test_console_script_installed():
     result = run_ohg("count", "--na", "1", "--nb", "1", "--nn", "1")
     assert result.returncode == 0
     assert result.stdout == "6\n"
+
+
+class TestProcessEntry:
+    """``python -m ohg`` ends through ``ohg.__main__.run``, which skips the
+    interpreter's teardown; what it prints and its exit code must be those
+    of ``ohg.cli.main`` run in-process."""
+
+    @pytest.fixture
+    def files(self, tmp_path, bug_file, g32_file, bind_bug):
+        from importlib import resources
+
+        paths = {"bug": bug_file, "g32": g32_file,
+                 "missing": str(tmp_path / "missing.ohg")}
+        for name, text in [
+            ("bind_bug", write_ohg(bind_bug)),
+            ("pentagon", write_ohg(gadgets.fixture("pentagon").hypergraph)),
+            ("pentagon_vec",
+             (resources.files("ohg") / "fixtures" / "pentagon.vec").read_text()),
+        ]:
+            paths[name] = str(tmp_path / name)
+            Path(paths[name]).write_text(text)
+        return paths
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("states", "{bug}", "--count-only"),
+        ("classify", "{bug}"),
+        ("reconstruct", "{bug}"),
+        ("color", "{bug}", "--n", "3"),
+        ("chroma", "{bug}"),
+        ("gadget", "bug"),
+        ("compose", "bind", "{bug}", "--head", "v1", "--tail", "v7"),
+        ("count", "--na", "2", "--nb", "3", "--nn", "8"),
+        ("verify-for", "{pentagon}", "{pentagon_vec}"),
+        ("export", "{bug}", "--format", "dot"),
+        # negative verdicts
+        ("reconstruct", "{bind_bug}"),
+        ("color", "{g32}", "--n", "3"),
+        # errors: a refused flag pair, a missing file, a usage error
+        ("states", "{bug}", "--count-only", "--limit", "3"),
+        ("classify", "{missing}"),
+        ("color", "{bug}"),
+        ("--help",),
+    ], ids=" ".join)
+    def test_same_as_main(self, capsys, files, argv):
+        argv = [a.format(**files) for a in argv]
+        result = run_ohg(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == \
+            self.in_process(capsys, argv)
+
+    def test_out_file_same_as_main(self, capsys, files, tmp_path):
+        child, inside = tmp_path / "child.mat", tmp_path / "main.mat"
+        result = run_ohg("states", files["bug"], "--out", str(child))
+        assert (result.returncode, result.stdout, result.stderr) == \
+            self.in_process(capsys, ["states", files["bug"], "--out", str(inside)])
+        assert child.read_bytes() == inside.read_bytes()
+
+    def test_exits_fast_only_after_main_returns(self, capsys, monkeypatch,
+                                                files):
+        from ohg import __main__ as entry
+
+        exits = []
+        monkeypatch.setattr(entry.os, "_exit", exits.append)
+        # a usage error leaves through the parser's SystemExit, as before
+        monkeypatch.setattr(sys, "argv", ["ohg", "color", files["bug"]])
+        with pytest.raises(SystemExit) as exc:
+            entry.run()
+        assert exc.value.code == 2 and exits == []
+        assert "error: the following arguments are required: --n" in capsys.readouterr().err
+        # an OhgError is reported by main, which returns its code
+        monkeypatch.setattr(sys, "argv", ["ohg", "classify", files["missing"]])
+        entry.run()
+        assert exits == [2]
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("states",), ("states", "--count-only"), ("classify",),
+    ], ids=" ".join)
+    def test_full_disk_is_an_output_error(self, bug_file, argv):
+        # every write to /dev/full fails with ENOSPC
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(ohg_argv(argv[0], bug_file, *argv[1:]),
+                                    stdout=full, stderr=subprocess.PIPE,
+                                    text=True, timeout=60, **child_options())
+        assert result.returncode == 2
+        assert result.stderr == "error: [Errno 28] No space left on device\n"
 
 
 def parse(parser, argv, capsys):
