@@ -1,6 +1,4 @@
-"""The entry of ``python -m ohg`` and of the ``ohg`` console script,
-:func:`run`. ``python -m ohg.cli`` and in-process calls of
-:func:`ohg.cli.main` keep the interpreter's usual exit."""
+"""The entry of ``python -m ohg`` and of the ``ohg`` console script."""
 
 import os
 import sys
@@ -9,18 +7,12 @@ from .cli import main
 
 
 def run() -> None:
-    """Run :func:`ohg.cli.main`, flush stdout and stderr, and end the process
-    with its exit code through :func:`os._exit`.
-
-    That skips the interpreter's teardown, its module clean-up and final
-    collection, which nothing in the package needs: its files are closed
-    before ``main`` returns, and it starts no thread or process and
-    registers no :mod:`atexit` hook. An ``OSError`` from writing the output,
-    such as a full disk, ends with one ``error:`` line and exit 2, and the
-    buffer that failed is not written again. Any other exception, the
-    parser's ``SystemExit`` and a ``BrokenPipeError`` that ``main`` left
-    alone included, takes the usual way out.
-    """
+    """Run :func:`ohg.cli.main`, flush both streams and end the process
+    with its code through :func:`os._exit`, skipping the interpreter's
+    teardown. That is safe while the package closes its files before
+    ``main`` returns and starts no thread, process or :mod:`atexit` hook.
+    An ``OSError`` from writing the output ends with one ``error:`` line
+    and exit 2."""
     try:
         code = main()
         sys.stdout.flush()
