@@ -2,24 +2,22 @@
 
 Reports go to stdout, diagnostics and progress to stderr. Exit codes:
 0 success, 1 negative verdict (no coloring, not reconstructable, labeling
-rejected), 2 usage or input error (also a ``--out`` file that cannot be
-written, and, under ``python -m ohg`` or the ``ohg`` script, whose entry is
-:func:`ohg.__main__.run`, standard output that cannot be written), 141 for a
-closed pipe (below). ``--format json`` makes every report machine readable
-with the stable keys {vertices, contexts, nTS, verdicts, rows,
-extraContexts} where applicable. State matrices are written in chunks of a
-few thousand rows; when the reader of standard output closes the pipe early,
-the command stops quietly with exit code 141, as a program killed by SIGPIPE
-would.
+rejected), 2 usage or input error (also a ``--out`` file or standard output
+that cannot be written), 141 for a closed pipe (below). ``--format json``
+makes every report machine readable with the stable keys {vertices,
+contexts, nTS, verdicts, rows, extraContexts} where applicable. State
+matrices are written in chunks of a few thousand rows; when the reader of
+standard output closes the pipe early, the command stops quietly with exit
+code 141, as a program killed by SIGPIPE would.
 
 This module holds the entry point and the command-line reader;
 :mod:`ohg.commands` holds the list of subcommands and the helpers they
 share. Each subcommand lives in its own module, ``ohg.commands.<name>``
 (``verify_for`` for ``verify-for``), with its arguments as data,
-``ARGUMENTS`` (each name with its :mod:`argparse` keywords; ``EXCLUSIVE``
-names a pair that cannot be combined), and ``run(args)``, so that a command
-loads and compiles only its own arguments and handler. A valid command line is read by a small reader
-over the named subcommand's table, without :mod:`argparse`. Anything the
+``ARGUMENTS`` (each name with its :mod:`argparse` keywords), and
+``run(args)``, so that a command loads and compiles only its own arguments
+and handler. A valid command line is read by a small reader over the named
+subcommand's table, without :mod:`argparse`. Anything the
 reader does not take, such as ``--help``, an abbreviated option or a usage
 error, goes to the parser built from the same tables
 (:mod:`ohg.commands._parser`, loaded only then), and the parser alone
@@ -50,10 +48,10 @@ def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
 
     It takes exact long names, ``--name value``, ``--name=value``, flags and
     positionals in any order, converts and checks values as the table says,
-    and requires the required options and at most one of an exclusive pair.
-    Everything else is left to the parser: help, abbreviations, a value that
-    is empty or starts with ``-``, a repeated option, a failed conversion or
-    choice, and a wrong number of positionals.
+    and requires the required options. Everything else is left to the
+    parser: help, abbreviations, a value that is empty or starts with ``-``,
+    a repeated option, a failed conversion or choice, and a wrong number of
+    positionals.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -72,8 +70,6 @@ def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
         if name not in table or name in given or eq and "action" in table[name]:
             return None
         given[name] = True if "action" in table[name] else value if eq else next(rest, "")
-    if len(given.keys() & set(getattr(command, "EXCLUSIVE", ()))) > 1:
-        return None
     args = {"command": argv[0], "func": command.run}
     for name, kw in table.items():
         value = given.get(name)
@@ -97,24 +93,28 @@ def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_args(argv)
-    if args is None:
-        from .commands._parser import build_parser
-
-        args = build_parser(argv).parse_args(argv)
     try:
+        args = _read_args(argv)
+        if args is None:
+            from .commands._parser import build_parser
+
+            args = build_parser(argv).parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
     except OhgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader of stdout has gone (``ohg states big.ohg | head``). Point
-        # stdout at /dev/null so that the flush at exit cannot fail again.
+    except OSError as exc:
+        # Standard output cannot be written: its reader has gone (``ohg states
+        # big.ohg | head``) or the disk is full. Point it at /dev/null so that
+        # no later flush writes the lost output again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -207,12 +207,12 @@ class CanonicalRows:
     Row ``r`` of :func:`~ohg.states.enumerate_states` is the ``r``-th state
     in that order: by the first column, 1 before 0, then by the second, and
     so on. Rows here are ints in reading order, as in
-    :class:`~ohg.states.TravisMatrix`. Each answer comes from counts of the
-    states that agree with a prefix of the columns (:meth:`count`), each a
-    pass over one trace of the search (:func:`ohg.engine.search`). A state
-    is true on a vertex exactly when it is false on all the vertex's
-    neighbours, so every question is one of states false on a set of
-    vertices.
+    :class:`~ohg.states.TravisMatrix`. Each answer comes from passes over
+    one trace of the search (:func:`ohg.engine.search`): row 1 from one pass
+    for the largest row, ranks from counts of the states that agree with a
+    prefix of the columns (:meth:`count`). A state is true on a vertex
+    exactly when it is false on all the vertex's neighbours, so every count
+    is one of states false on a set of vertices.
     """
 
     def __init__(self, h: Hypergraph):
@@ -232,15 +232,21 @@ class CanonicalRows:
         return 0 if ones & zeros else count(self._trace, zeros)
 
     def first(self) -> int:
-        """Row 1, the largest state: column by column, 1 wherever some state
-        agrees with the columns before it and has 1 there. Needs a state."""
-        ones = zeros = 0
-        for v in range(self._k):
-            if self.count(ones | 1 << v, zeros):
-                ones |= 1 << v
-            else:
-                zeros |= 1 << v
-        return states._mirror(ones, self._k)
+        """Row 1, the largest state, in one pass over the trace: a part's
+        largest row is the largest over its nodes of the node's forced
+        vertices OR-ed with the largest rows of its parts, which set disjoint
+        vertices. Needs a state."""
+        best: list[int] = []
+        for part in self._trace:
+            rows = []
+            for forced, subs in part:
+                row = states._mirror(forced, self._k)
+                for q in subs:
+                    row |= best[q]
+                rows.append(row)
+            # an empty part is below no kept node
+            best.append(max(rows, default=0))
+        return best[-1]
 
     def rank(self, row: int) -> int:
         """The 1-based index of the state ``row`` in the canonical table: one

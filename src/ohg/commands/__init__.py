@@ -1,10 +1,10 @@
 """The ``ohg`` subcommands, one module each, with their arguments as data,
-``ARGUMENTS`` (each name with its :mod:`argparse` keywords, and
-``EXCLUSIVE`` for a pair that cannot be combined), and ``run(args)``;
-:mod:`ohg.cli` loads the one a command line names and reads the line from
-that table, and only where its reader does not decide does it load
-:mod:`ohg.commands._parser`, which builds a parser from the same tables.
-This module holds the list of subcommands and the helpers they share."""
+``ARGUMENTS`` (each name with its :mod:`argparse` keywords), and
+``run(args)``; :mod:`ohg.cli` loads the one a command line names and reads
+the line from that table, and only where its reader does not decide does it
+load :mod:`ohg.commands._parser`, which builds a parser from the same
+tables. This module holds the list of subcommands and the helpers they
+share."""
 
 from __future__ import annotations
 

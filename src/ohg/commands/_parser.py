@@ -3,8 +3,19 @@ tables. :mod:`ohg.cli` loads it only for a command line its reader leaves
 undecided: help, an abbreviated option or a usage error."""
 
 import argparse
+import sys
 
 from . import _COMMANDS, _command
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError from writing help or usage; write and
+        # flush here so that it reaches ohg.cli.main, which reports it
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -15,7 +26,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     arguments, an unknown name) all of them are. Either way the usage line
     and every message are the same.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ohg",
         description="Analyze orthogonality hypergraphs via their two-valued states.",
     )
@@ -29,9 +40,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     for name in [only] if only else _COMMANDS:
         command = _command(name)
         p = sub.add_parser(name, help=_COMMANDS[name])
-        exclusive = getattr(command, "EXCLUSIVE", ())
-        group = exclusive and p.add_mutually_exclusive_group()
         for arg, kw in command.ARGUMENTS.items():
-            (group if arg in exclusive else p).add_argument(arg, **kw)
+            p.add_argument(arg, **kw)
         p.set_defaults(func=command.run)
     return parser

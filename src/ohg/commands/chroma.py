@@ -5,11 +5,9 @@ from . import _emit_json, _load_hypergraph
 
 ARGUMENTS = {
     "file": {},
-    "--exact": {"action": "store_true", "default": True},
     "--brooks": {"action": "store_true"},
     "--format": {"choices": ("text", "json"), "default": "text"},
 }
-EXCLUSIVE = ("--exact", "--brooks")
 
 
 def run(args) -> int:

@@ -1,8 +1,8 @@
 """Graph algorithms over hypergraphs: 2-section, cliques, structure checks,
 isomorphism. The data model they work on is :mod:`ohg.model`'s, re-exported
-here, so ``ohg.core.Hypergraph`` is ``ohg.model.Hypergraph``. The clique and
-component masks and the shape report live in :mod:`ohg.cliques` and are
-re-exported too, so that the commands that need only those (``classify``,
+here, so ``ohg.core.Hypergraph`` is ``ohg.model.Hypergraph``. The shape
+report lives in :mod:`ohg.cliques`, with the clique and component masks, and
+is re-exported too, so that the commands that need only those (``classify``,
 ``chroma``, ``color``, ``compose bind``) do not load the rest; of the
 commands, only ``reconstruct`` loads this module.
 """
@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .cliques import ShapeReport, _clique_masks, _component_masks, shape  # noqa: F401 (re-exported)
+from .cliques import ShapeReport, _clique_masks, shape  # noqa: F401 (re-exported)
 from .errors import SizeLimitError
 from .model import Hypergraph, _bits, build, record  # noqa: F401 (re-exported)
 from .walk import _drive

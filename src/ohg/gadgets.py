@@ -14,12 +14,7 @@ nor each other.
 from __future__ import annotations
 
 from .bindcount import predicted_bind_count  # noqa: F401 (re-exported)
-from .catalogue import (  # noqa: F401 (re-exported)
-    FIXTURE_NAMES,
-    Fixture,
-    fixture,
-    fixture_hypergraph,
-)
+from .catalogue import FIXTURE_NAMES, Fixture, fixture  # noqa: F401 (re-exported)
 from .errors import (
     AdjacentTerminalsError,
     NotATifsPairError,

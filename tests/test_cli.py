@@ -840,12 +840,17 @@ class TestProcessEntry:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [
-        ("states",), ("states", "--count-only"), ("classify",),
-    ], ids=" ".join)
+        ("states", "{bug}"), ("states", "{bug}", "--count-only"), ("classify", "{bug}"),
+        ("-m", "ohg.cli", "states", "{bug}"), ("--help",), ("states", "--help"),
+    ], ids=lambda argv: " ".join(a for a in argv if a != "{bug}"))
     def test_full_disk_is_an_output_error(self, bug_file, argv):
-        # every write to /dev/full fails with ENOSPC
+        # every write to /dev/full fails with ENOSPC, help text's too; the
+        # same under ``python -m ohg.cli`` as under ``python -m ohg``
+        argv = [a.format(bug=bug_file) for a in argv]
+        if argv[0] != "-m":
+            argv = ["-m", "ohg", *argv]
         with open("/dev/full", "w") as full:
-            result = subprocess.run(ohg_argv(argv[0], bug_file, *argv[1:]),
+            result = subprocess.run([sys.executable, *argv],
                                     stdout=full, stderr=subprocess.PIPE,
                                     text=True, timeout=60, **child_options())
         assert result.returncode == 2
@@ -874,6 +879,7 @@ USAGE_ERRORS = [
     ("reconstruct", "f.ohg", "--n", "x"),
     ("color", "f.ohg"),
     ("chroma", "f.ohg", "--exact", "--brooks"),
+    ("chroma", "f.ohg", "--exact"),
     ("gadget", "nonesuch"),
     ("compose", "layer", "f.ohg", "--head", "a"),
     ("count", "--na", "1", "--nb", "1"),
@@ -1012,7 +1018,8 @@ class TestReader:
         ("states", "f.ohg", "--jobs", "2", "--jobs", "3"), ("states", "f.ohg", "--count-only=1"),
         ("states", "--", "f.ohg"), ("states", "-"), ("states", ""), ("states", "f.ohg", "--out="),
         ("count", "--na", "1", "--nb", "x", "--nn", "1"), ("export", "f.ohg", "--format", "xml"),
-        ("chroma", "f.ohg", "--brooks", "--exact"), ("gadget", "bug", "extra"), ("gadget",),
+        ("chroma", "f.ohg", "--brooks", "--exact"), ("chroma", "f.ohg", "--exact"),
+        ("gadget", "bug", "extra"), ("gadget",),
         ("frobnicate",), (), ("--help",),
     ], ids=lambda a: " ".join(a) or "bare")
     def test_leaves_to_the_parser(self, argv):
