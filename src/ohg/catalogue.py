@@ -5,9 +5,11 @@ text context format plus, where a reference state table exists, a matrix
 file transcribed verbatim (reference tables keep their printed row order, so
 row indices quoted against them match the printed matrices).
 
-``ohg gadget`` loads this module alone; :mod:`ohg.gadgets`, the gadget
-compositions, re-exports its names, so ``ohg.gadgets.fixture`` is
-``ohg.fixture``.
+A fixture has a hypergraph or a table where its ``.ohg`` or ``.mat`` file
+ships. ``ohg gadget`` loads this module alone and copies that file unchanged,
+which ``tests/test_gadgets.py::test_shipped_files_byte_stable`` keeps equal to
+what parsing and writing it would print. :mod:`ohg.gadgets` re-exports these
+names, so ``ohg.gadgets.fixture`` is ``ohg.fixture``.
 """
 
 from __future__ import annotations
@@ -21,18 +23,6 @@ from .model import Hypergraph, parse_ohg, record
 if TYPE_CHECKING:
     from .states import TravisMatrix
 
-FIXTURE_NAMES = (
-    "k3",
-    "triangle",
-    "pentagon",
-    "bug",
-    "g32",
-    "g32x",
-    "ghz",
-    "underlying",
-    "fig4",
-)
-
 _NOTES = {
     "k3": "a single 3-element context",
     "triangle": "three contexts pasted in a triangle; 4 states, 3-chromatic",
@@ -45,6 +35,8 @@ _NOTES = {
     "fig4": "43-vertex true-implies-false gadget with distant terminals a1, a11",
 }
 
+FIXTURE_NAMES = tuple(_NOTES)
+
 
 @record
 class Fixture:
@@ -56,32 +48,27 @@ class Fixture:
     notes: str
 
 
-def _read_fixture_file(filename: str) -> str:
-    from importlib import resources
-
-    return (resources.files("ohg") / "fixtures" / filename).read_text()
-
-
-@cache
-def fixture_hypergraph(name: str) -> Optional[Hypergraph]:
-    """The hypergraph of a catalogued fixture, read without its reference
-    state table; ``None`` for a fixture that ships as a table only."""
-    if name not in FIXTURE_NAMES:
+def _fixture_text(name: str, suffix: str) -> Optional[str]:
+    """The shipped file ``name + suffix`` of a catalogued fixture, verbatim;
+    ``None`` when the fixture has no such file."""
+    if name not in _NOTES:
         raise UnknownFixtureError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    if name == "ghz":
-        return None
-    return parse_ohg(_read_fixture_file(f"{name}.ohg"))
+    from importlib import resources
+
+    path = resources.files("ohg") / "fixtures" / f"{name}{suffix}"
+    return path.read_text() if path.is_file() else None
 
 
 @cache
 def fixture(name: str) -> Fixture:
     """Look up a catalogued fixture by name (see :data:`FIXTURE_NAMES`)."""
-    hypergraph = fixture_hypergraph(name)
-    travis = None
-    if name in ("triangle", "pentagon", "bug", "g32", "underlying", "ghz"):
+    hypergraph, travis = _fixture_text(name, ".ohg"), _fixture_text(name, ".mat")
+    if hypergraph is not None:
+        hypergraph = parse_ohg(hypergraph)
+    if travis is not None:
         from .formats import parse_matrix
 
-        travis = parse_matrix(_read_fixture_file(f"{name}.mat"))
+        travis = parse_matrix(travis)
     return Fixture(name, hypergraph, travis, _NOTES[name])

@@ -96,8 +96,12 @@ def _k_coloring(
         for v in members:
             tight_of[v].append(i)
 
-    def assign(col: list[int], dom: list[int], v: int, c: int) -> bool:
-        """Colour ``v`` with ``c`` and propagate; ``False`` on a wipe-out."""
+    col, dom = [0] * n, [full] * n
+    trail: list[tuple[int, int]] = []  # (vertex, its domain before a change)
+
+    def assign(v: int, c: int) -> bool:
+        """Colour ``v`` with ``c`` and propagate, recording each change on
+        the trail; ``False`` on a wipe-out."""
         todo = [(v, c)]
         pending = 0  # mask of tight contexts to check
         while todo or pending:
@@ -108,6 +112,7 @@ def _k_coloring(
                     return False
                 if col[v]:
                     continue
+                trail.append((v, dom[v]))
                 col[v] = c
                 dom[v] = bit
                 for i in tight_of[v]:
@@ -119,6 +124,7 @@ def _k_coloring(
                     d ^= bit
                     if not d:
                         return False
+                    trail.append((u, dom[u]))
                     dom[u] = d
                     if not d & d - 1:
                         todo.append((u, d.bit_length()))
@@ -145,31 +151,33 @@ def _k_coloring(
 
     nodes = 0
 
-    def colour(col: list[int], dom: list[int]):
+    def colour():
         """Colour the free vertex with the fewest colours left, trying each
-        colour on copies of ``col`` and ``dom`` and yielding the walk of the
-        rest; the colouring, or ``None``."""
+        colour, yielding the walk of the rest and undoing the colour's changes
+        from the trail; the colouring, or ``None``."""
         nonlocal nodes
-        free = [v for v in range(n) if not col[v]]
-        if not free:
+        v = min((v for v in range(n) if not col[v]),
+                key=lambda v: (dom[v].bit_count(), rank[v]), default=None)
+        if v is None:
             return col
-        v = min(free, key=lambda v: (dom[v].bit_count(), rank[v]))
         for c in _bits(dom[v] & (2 << max(col)) - 1):
             nodes += 1
             if nodes > cutoff:
                 return None
-            child_col, child_dom = col[:], dom[:]
-            if assign(child_col, child_dom, v, c + 1):
-                found = yield colour(child_col, child_dom)
+            mark = len(trail)
+            if assign(v, c + 1):
+                found = yield colour()
                 if found is not None or nodes > cutoff:
                     return found
+            while len(trail) > mark:
+                u, dom[u] = trail.pop()
+                col[u] = 0
         return None
 
-    col, dom = [0] * n, [full] * n
     for c, v in enumerate(seeds, start=1):
-        if not assign(col, dom, v, c):
+        if not assign(v, c):
             return None, 0
-    colors = _drive(colour(col, dom))
+    colors = _drive(colour())
     return colors, nodes
 
 

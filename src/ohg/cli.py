@@ -102,18 +102,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except OhgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # Standard output cannot be written: its reader has gone (``ohg states
-        # big.ohg | head``) or the disk is full. Point it at /dev/null so that
-        # no later flush writes the lost output again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return 141
-        print(f"error: {exc}", file=sys.stderr)
+    except (OhgError, OSError) as exc:
+        # An OSError here is a standard stream that cannot be written: its
+        # reader has gone (``ohg states big.ohg | head``) or the disk is full.
+        # A stream that failed is pointed at /dev/null, so that no later
+        # flush writes the lost text again.
+        if isinstance(exc, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 141
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 2
 
 

@@ -1,4 +1,5 @@
-"""``ohg gadget``: emit a catalogued fixture."""
+"""``ohg gadget``: copy a catalogued fixture's shipped file, unparsed (see
+:mod:`ohg.catalogue`; ``test_shipped_files_byte_stable`` keeps it canonical)."""
 
 import sys
 
@@ -12,20 +13,11 @@ ARGUMENTS = {
 
 
 def run(args) -> int:
-    if args.travis:
-        from ..formats import matrix_chunks
-
-        travis = catalogue.fixture(args.name).travis
-        if travis is None:
-            raise OhgError(f"fixture {args.name!r} has no reference state table")
-        sys.stdout.writelines(matrix_chunks(travis))
-        return 0
-    from ..formats import write_ohg
-
-    h = catalogue.fixture_hypergraph(args.name)
-    if h is None:
+    text = catalogue._fixture_text(args.name, ".mat" if args.travis else ".ohg")
+    if text is None:
         raise OhgError(
-            f"fixture {args.name!r} ships as a state table only; use --travis"
+            f"fixture {args.name!r} has no reference state table" if args.travis
+            else f"fixture {args.name!r} ships as a state table only; use --travis"
         )
-    sys.stdout.write(write_ohg(h))
+    sys.stdout.write(text)
     return 0

@@ -34,10 +34,9 @@ def run(args) -> int:
     if report.ok:
         print("valid faithful orthogonal representation")
         return 0
-    for u, v, cos in report.non_orthogonal_adjacent:
-        print(f"adjacent but not orthogonal: {u} {v} |cos|={cos:.3e}")
-    for u, v, cos in report.orthogonal_non_adjacent:
-        print(f"orthogonal but not adjacent: {u} {v} |cos|={cos:.3e}")
-    for u, v, cos in report.colinear:
-        print(f"colinear: {u} {v} |cos|={cos:.3e}")
+    for kind, pairs in [("adjacent but not orthogonal", report.non_orthogonal_adjacent),
+                        ("orthogonal but not adjacent", report.orthogonal_non_adjacent),
+                        ("colinear", report.colinear)]:
+        for u, v, cos in pairs:
+            print(f"{kind}: {u} {v} |cos|={cos:.3e}")
     return 1

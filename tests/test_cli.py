@@ -522,6 +522,27 @@ class TestGadget:
         with pytest.raises(SystemExit):
             main(["gadget", "nonesuch"])
 
+    @pytest.mark.parametrize("travis", [False, True], ids=["ohg", "travis"])
+    @pytest.mark.parametrize("name", gadgets.FIXTURE_NAMES)
+    def test_copies_the_shipped_file(self, name, travis):
+        # the shipped files are the catalogue: the command copies one
+        # unparsed, and a fixture without it is refused with one line
+        from importlib import resources
+
+        suffix = ".mat" if travis else ".ohg"
+        ships = (name in {"triangle", "pentagon", "bug", "g32", "underlying", "ghz"}
+                 if travis else name != "ghz")
+        result = subprocess.run(ohg_argv("gadget", name, *["--travis"] * travis),
+                                capture_output=True, timeout=60, **child_options())
+        if ships:
+            text = (resources.files("ohg") / "fixtures" / f"{name}{suffix}").read_bytes()
+            assert (result.returncode, result.stdout, result.stderr) == (0, text, b"")
+        else:
+            error = ("has no reference state table" if travis
+                     else "ships as a state table only; use --travis")
+            assert (result.returncode, result.stdout, result.stderr.decode()) == \
+                (2, b"", f"error: fixture {name!r} {error}\n")
+
 
 class TestCompose:
     def test_layer(self, capsys, bug_file):
@@ -720,12 +741,15 @@ class TestErrors:
     (1000, ("states", "--count-only"), str(chain_count(1000)), None),
     (600, ("classify",), f"nTS: {chain_count(600)}", 100 * 2**20),
     (600, ("reconstruct",), "verdict: reconstructable", 100 * 2**20),
-], ids=["states", "classify", "reconstruct"])
+    (2000, ("chroma",), "3", 100 * 2**20),
+], ids=["states", "classify", "reconstruct", "chroma"])
 def test_long_chain(tmp_path, n, argv, line, address_space):
     # a chain nests the search once per context, 1,000 contexts far past
     # Python's recursion limit; the verdicts fold the co-truth counts one row
     # at a time, where all 1,201 x 1,201 counts of 600 contexts, ints of up
-    # to 418 bits, would not fit under the cap
+    # to 418 bits, would not fit under the cap; the exact colouring keeps one
+    # colouring and an undo trail, where a copy of both per level of 4,001
+    # would not
     path = tmp_path / "chain.ohg"
     path.write_text(chain(n))
     result = run_ohg(argv[0], str(path), *argv[1:], address_space=address_space)
@@ -855,6 +879,19 @@ class TestProcessEntry:
                                     text=True, timeout=60, **child_options())
         assert result.returncode == 2
         assert result.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("classify", "{missing}"), ("states", "{bug}")],
+                             ids=["input error", "output error"])
+    def test_error_line_that_cannot_be_written(self, files, argv, unbuffered):
+        # the error line is lost with standard error, but not the exit code
+        options = child_options()
+        options["env"]["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(ohg_argv(*(a.format(**files) for a in argv)),
+                                    stdout=full, stderr=full, timeout=60, **options)
+        assert result.returncode == 2
 
 
 def parse(parser, argv, capsys):
