@@ -17,15 +17,12 @@ share. Each subcommand lives in its own module, ``ohg.commands.<name>``
 ``ARGUMENTS`` (each name with its :mod:`argparse` keywords), and
 ``run(args)``, so that a command loads and compiles only its own arguments
 and handler. A valid command line is read by a small reader over the named
-subcommand's table, without :mod:`argparse`. Anything the
-reader does not take, such as ``--help``, an abbreviated option or a usage
-error, goes to the parser built from the same tables
+subcommand's table, without :mod:`argparse`. Anything the reader does not
+take, such as ``--help``, an abbreviated option or a usage error, goes to
+the parser of every subcommand, built from the same tables
 (:mod:`ohg.commands._parser`, loaded only then), and the parser alone
-answers it. The parser gets the arguments of the one subcommand named first
-on the command line, and of all of them only for ``--help``, a missing or an
-unknown subcommand; its help, usage lines and errors are the same either way.
-A subcommand imports the package modules it calls, and :mod:`json` only when
-it prints JSON, so that it loads only the code it runs.
+answers it. A subcommand imports the package modules it calls, and
+:mod:`json` only when it prints JSON, so that it loads only the code it runs.
 """
 
 from __future__ import annotations
@@ -98,7 +95,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args is None:
             from .commands._parser import build_parser
 
-            args = build_parser(argv).parse_args(argv)
+            args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -375,13 +375,9 @@ def relaxed_coloring(
             "state table columns do not match the hypergraph's vertices"
         )
     k = t.n_cols
-    # neighbour masks in the rows' bit convention: the vertex in column j of
-    # the table sits at bit k-1-j, and nbr is indexed by that bit
-    bit = [k - 1 - t.vertices.index(v) for v in h.vertices]
-    nbr = [0] * k
-    for i, m in enumerate(h.neighbor_masks):
-        for u in _bits(m):
-            nbr[bit[i]] |= 1 << bit[u]
+    # neighbour masks in the rows' bit convention: column j sits at bit k-1-j
+    nbr = [states._mirror(m, k) for m in
+           reversed(Hypergraph(t.vertices, h.contexts).neighbor_masks)]
     uncolored = (1 << k) - 1
     color_of: dict[str, int] = {}
     for color in range(1, max_colors + 1):

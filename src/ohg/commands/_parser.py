@@ -1,6 +1,7 @@
 """The :mod:`argparse` parser of ``ohg``, built from the subcommands'
 tables. :mod:`ohg.cli` loads it only for a command line its reader leaves
-undecided: help, an abbreviated option or a usage error."""
+undecided: help, an abbreviated option or a usage error. It loads every
+subcommand's module, so that its usage line lists them all."""
 
 import argparse
 import sys
@@ -18,26 +19,14 @@ class _Parser(argparse.ArgumentParser):
             file.flush()
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``, built from the subcommands' tables.
-
-    When ``argv[0]`` names a subcommand, only that subcommand's parser is
-    built, and only its module is loaded; otherwise (``--help``, no
-    arguments, an unknown name) all of them are. Either way the usage line
-    and every message are the same.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built from their tables."""
     parser = _Parser(
         prog="ohg",
         description="Analyze orthogonality hypergraphs via their two-valued states.",
     )
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    # The usage line lists the subcommands that were built; with one built,
-    # the metavar lists them all instead. It stays unset otherwise, because
-    # it would also replace "command" in the errors on a missing or unknown
-    # subcommand, which only the full parser reports.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [only] if only else _COMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         command = _command(name)
         p = sub.add_parser(name, help=_COMMANDS[name])
         for arg, kw in command.ARGUMENTS.items():

@@ -47,13 +47,7 @@ class Graph:
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        idx = self.index
-        nbr = [0] * len(self.vertices)
-        for edge in self.edges:
-            u, v = tuple(edge)
-            nbr[idx[u]] |= 1 << idx[v]
-            nbr[idx[v]] |= 1 << idx[u]
-        return tuple(nbr)
+        return Hypergraph(self.vertices, tuple(self.edges)).neighbor_masks
 
     def degree(self, v: str) -> int:
         return self.neighbor_masks[self.index[v]].bit_count()
@@ -70,15 +64,20 @@ class FourCycle(NamedTuple):
     vertices: tuple[str, str, str, str]
 
 
+def _graph(vertices: tuple[str, ...], nbr: tuple[int, ...]) -> Graph:
+    """The graph on ``vertices`` with the symmetric neighbour masks ``nbr``
+    (bit i = vertex i), which it keeps as its ``neighbor_masks``."""
+    g = Graph(vertices, frozenset(
+        frozenset((vertices[i], vertices[j]))
+        for i, m in enumerate(nbr) for j in _bits(m & -2 << i)
+    ))
+    g.__dict__["neighbor_masks"] = nbr  # where cached_property caches
+    return g
+
+
 def two_section(h: Hypergraph) -> Graph:
     """The graph joining every two vertices that share a context."""
-    edges = set()
-    for ctx in h.contexts:
-        members = sorted(ctx)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                edges.add(frozenset((u, v)))
-    return Graph(h.vertices, frozenset(edges))
+    return _graph(h.vertices, h.neighbor_masks)
 
 
 def maximal_cliques(g: Graph) -> tuple[frozenset[str], ...]:

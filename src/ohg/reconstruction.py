@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from . import core
-from .core import Graph, Hypergraph, _bits, record
+from .core import Graph, Hypergraph, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
 from .pairwise import CoTruth, _cotruth_rows, _first_equal_pair, _masks
 
@@ -64,10 +64,7 @@ def _adjacency(vertices: tuple[str, ...], met: list[int]) -> Graph:
                 f"column {vertices[j]!r} is never true; the state table is not unital"
             )
     full = (1 << len(vertices)) - 1
-    return Graph(vertices, frozenset(
-        frozenset((vertices[i], vertices[j]))
-        for i, m in enumerate(met) for j in _bits(full & ~m & -2 << i)
-    ))
+    return core._graph(vertices, tuple(full & ~m for m in met))
 
 
 def adjacency_from_states(t: TravisMatrix | CoTruth) -> Graph:

@@ -1,12 +1,16 @@
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from ohg import core, gadgets, states
 from ohg.errors import AllZeroColumnError, SizeLimitError
+from ohg.pairwise import cotruth
 from ohg.reconstruction import (
     adjacency_from_states,
+    evaluate,
     reconstruct,
     travis_equivalent,
     verdict,
@@ -49,6 +53,34 @@ class TestAdjacency:
         for h in (pentagon, g32, underlying):
             g = adjacency_from_states(states.enumerate_states(h))
             assert set(g.edges) >= set(core.two_section(h).edges)
+
+    @pytest.mark.parametrize("name", [*gadgets.FIXTURE_NAMES, "bind_bug",
+                                      *(f"pasting-{seed}" for seed in range(20))])
+    def test_graphs_keep_their_masks(self, request, name):
+        # every graph the package builds holds the masks it was built from,
+        # and they are the masks of its edges
+        if name == "bind_bug":
+            h, t = map(request.getfixturevalue, ("bind_bug", "bind_bug_matrix"))
+        elif name.startswith("pasting-"):
+            seed = int(name.split("-")[1])
+            h = random_pasting(random.Random(seed), size=3 + seed % 2)
+            t = states.enumerate_states(h)
+        else:
+            h, t = gadgets.fixture(name).hypergraph, gadgets.fixture(name).travis
+            t = t or states.enumerate_states(h)
+        graphs = [] if h is None else [core.two_section(h)]
+        # a never-true column is refused (test_all_zero_column)
+        if reduce(or_, t.rows, 0) == (1 << t.n_cols) - 1:
+            graphs.append(adjacency_from_states(t))
+            if h is not None:
+                graphs.append(adjacency_from_states(cotruth(h)))
+                rec = evaluate(h)[1]
+                graphs += [rec.raw_graph] if rec else []
+        assert graphs
+        for g in graphs:
+            assert "neighbor_masks" in vars(g)
+            assert g.neighbor_masks == \
+                core.Hypergraph(g.vertices, tuple(g.edges)).neighbor_masks
 
 
 class TestReconstruct:
