@@ -177,6 +177,7 @@ def _k_coloring(
     for c, v in enumerate(seeds, start=1):
         if not assign(v, c):
             return None, 0
+        trail.clear()  # a seed is never undone
     colors = _drive(colour())
     return colors, nodes
 

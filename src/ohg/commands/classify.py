@@ -19,7 +19,7 @@ def run(args) -> int:
     from .. import chromatic, cliques, pairwise
 
     h = _load_hypergraph(args.file)
-    c = pairwise._classify(h, *pairwise._cotruth_rows(h))
+    c = pairwise._classify(h, *pairwise._verdicts(h))
     rep = cliques.shape(h)
     semi: Optional[bool]
     try:

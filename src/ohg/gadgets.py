@@ -123,11 +123,7 @@ def bind(spec: BindSpec) -> Hypergraph:
         names = (f"g{3 * i + 1}", f"g{3 * i + 2}", f"g{3 * i + 3}")
         contexts += _fold(spec, corners, names)
     contexts += [tuple(corner[j] for corner in _BIND_CORNERS) for j in range(3)]
-    g = build(contexts)
-    expect = 9 * len(spec.gadget.vertices) - 9
-    if len(g.vertices) != expect:
-        raise OhgError("vertex name collision while composing the binding")
-    return g
+    return build(contexts)
 
 
 def bind_corners() -> tuple[tuple[str, str, str], ...]:

@@ -10,9 +10,11 @@ from the trace or from a table (:attr:`ohg.states.TravisMatrix.cooc`): a
 column sums on the diagonal, since the counts of the 378-vertex binding pass
 2**63.
 
-Every verdict reads one form, the masks that :func:`_masks` folds from the
-counts a row at a time; the ``classify`` command and
-:func:`~ohg.reconstruction.evaluate` fold the trace's rows as they come.
+Every verdict reads one form, two masks per vertex: :func:`_masks` reads
+them off the counts, and :func:`_verdicts` off the trace in one pass up and
+one down, with OR and AND in place of the counts' sums and products. The
+``classify`` command and :func:`~ohg.reconstruction.evaluate` take the
+trace's masks, so no command computes a count beyond the state count.
 
 This is the part of the state analyses that ``classify`` and
 ``reconstruct`` run; :mod:`ohg.states` holds the tables and binds these
@@ -22,7 +24,7 @@ tables load without this module, nor the verdicts on a table the search.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ColumnCountMismatchError
 from .model import Hypergraph, _bits, record
@@ -117,33 +119,75 @@ def _true_counts(trace: list[tuple], nodes: list[list[tuple]], k: int,
     return tuple(counts)
 
 
-def _cotruth_rows(h: Hypergraph) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """The state count of ``h`` and its co-truth counts, row ``i`` made only
-    when it is read.
-
-    The search runs once, and row ``i`` holds the true counts over the
-    states false on every neighbour of ``i``, which are exactly the states
-    making ``i`` true: one pass up and one down over the trace per vertex
-    (:func:`_true_counts`).
-    """
-    from .engine import count, search
-
-    k = len(h.vertices)
-    trace = search(h)
-    nodes = [[(forced, subs, tuple(_bits(forced))) for forced, subs in part]
-             for part in trace]
-    return count(trace), (_true_counts(trace, nodes, k, nbr) for nbr in h.neighbor_masks)
-
-
 def cotruth(h: Hypergraph) -> CoTruth:
-    """State count and pairwise co-truth counts of ``h``, without a table
-    (:func:`_cotruth_rows`), so the 378-vertex binding (about 5.9e23 states)
-    is analysed in under a second. The result equals
+    """State count and pairwise co-truth counts of ``h``, without a table, so
+    the 378-vertex binding (about 5.9e23 states) is analysed in under a
+    second. The search runs once, and row ``i`` holds the true counts over
+    the states false on every neighbour of ``i``, which are exactly the
+    states making ``i`` true (:func:`_true_counts`). The result equals
     ``enumerate_states(h).cooc`` (:func:`~ohg.states.enumerate_states`) entry
     for entry.
     """
-    nts, rows = _cotruth_rows(h)
-    return CoTruth(h.vertices, nts, tuple(rows))
+    from .engine import count, search
+
+    trace = search(h)
+    nodes = [[(forced, subs, tuple(_bits(forced))) for forced, subs in part]
+             for part in trace]
+    rows = (_true_counts(trace, nodes, len(h.vertices), nbr) for nbr in h.neighbor_masks)
+    return CoTruth(h.vertices, count(trace), tuple(rows))
+
+
+def _verdicts(h: Hypergraph) -> tuple[int, list[int], list[int]]:
+    """The state count of ``h`` and the masks that :func:`_masks` reads off
+    its co-truth counts, taken from the trace without a co-truth count.
+
+    One pass up gives per part the vertices true in some state below it and
+    those true in every one. One pass down from the root gives per reached
+    part the same two masks for what lies outside it, over the nodes that
+    reach it; a node's sub-parts have disjoint vertices, so its other
+    sub-parts' masks are a difference. The states through a node make the
+    vertices it forces true, so each of those is met with, and implies, what
+    those states make true.
+    """
+    from .engine import count, search
+
+    trace = search(h)
+    full = (1 << len(h.vertices)) - 1
+    some: list[int] = []
+    every: list[int] = []
+    for part in trace:
+        s, e = 0, full
+        for forced, subs in part:
+            s |= forced | _union(some, subs)
+            e &= forced | _union(every, subs)
+        some.append(s)
+        every.append(e)
+    met, implied = [0] * len(h.vertices), [full] * len(h.vertices)
+    # per part reached from the root, its two masks of what lies outside it
+    outside: list[Optional[tuple[int, int]]] = [None] * len(trace)
+    outside[-1] = (0, 0)
+    for p in range(len(trace) - 1, -1, -1):
+        if outside[p] is None:
+            continue
+        out_some, out_every = outside[p]
+        for forced, subs in trace[p]:
+            s = out_some | forced | _union(some, subs)
+            e = out_every | forced | _union(every, subs)
+            for v in _bits(forced):
+                met[v] |= s
+                implied[v] &= e
+            for q in subs:
+                q_some, q_every = outside[q] or (0, full)
+                outside[q] = (q_some | s & ~some[q], q_every & e & ~some[q])
+    return count(trace), met, implied
+
+
+def _union(masks: list[int], at: Iterable[int]) -> int:
+    """The union of ``masks[q]`` over the positions ``at``."""
+    u = 0
+    for q in at:
+        u |= masks[q]
+    return u
 
 
 def _where(row: Sequence[int], value: int) -> int:
@@ -174,9 +218,9 @@ def _first_equal_pair(implied: Sequence[int]) -> Optional[tuple[int, int]]:
     return min((p for p in pairs if p[0] != p[1]), default=None)
 
 
-def _classify(h: Hypergraph, nts: int, rows: Iterable[Sequence[int]]) -> StateClassification:
-    """:func:`classify` from the state count and the co-truth rows."""
-    met, implied = _masks(rows)
+def _classify(h: Hypergraph, nts: int, met: Sequence[int],
+              implied: Sequence[int]) -> StateClassification:
+    """:func:`classify` from the state count and the masks of :func:`_masks`."""
     full, nbr = (1 << len(met)) - 1, h.neighbor_masks
     # A pair i < j misses condition 2 where j is true wherever i is, and 3
     # where j is neither ever true with i nor adjacent to it: the first i
@@ -215,4 +259,4 @@ def classify(h: Hypergraph, t: TravisMatrix | CoTruth) -> StateClassification:
         raise ColumnCountMismatchError(
             "state table columns do not match the hypergraph's vertices"
         )
-    return _classify(h, t.n_rows, t.cooc)
+    return _classify(h, t.n_rows, *_masks(t.cooc))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 from . import core
 from .core import Graph, Hypergraph, record
 from .errors import AllZeroColumnError, OhgError, SizeLimitError
-from .pairwise import CoTruth, _cotruth_rows, _first_equal_pair, _masks
+from .pairwise import CoTruth, _first_equal_pair, _masks, _verdicts
 
 if TYPE_CHECKING:
     from .states import TravisMatrix
@@ -129,13 +129,13 @@ def evaluate(
     Only the canonical reconstruction is tested, which is sound but does not
     quantify over every table-equivalent hypergraph. Non-unital input
     propagates :class:`AllZeroColumnError`. Everything is decided from the
-    masks of :func:`~ohg.pairwise._masks`, folded a row at a time from the
-    trace's co-truth counts, so neither a table nor all the counts are held.
+    masks of :func:`~ohg.pairwise._masks`, which :func:`~ohg.pairwise._verdicts`
+    reads off the search's trace in two passes, so neither a table nor a
+    co-truth count is made.
     """
-    nts, rows = _cotruth_rows(h)
+    nts, met, implied = _verdicts(h)
     if nts == 0:
         return Verdict("empty"), None
-    met, implied = _masks(rows)
     pair = _first_equal_pair(implied)
     if pair:
         return Verdict(

@@ -15,9 +15,10 @@ its co-truth counts, load no search.
 
 Pairwise co-truth counts come from a table (:attr:`TravisMatrix.cooc`) or
 the trace (:func:`cotruth`) as ``k`` × ``k`` exact ints, since the counts of
-the 378-vertex binding pass 2**63, and the verdicts read them in one form,
-two masks per vertex (:func:`ohg.pairwise._masks`). The counts and the
-analyses read from them live apart, so that the commands that need only
+the 378-vertex binding pass 2**63. The verdicts read one form, two masks
+per vertex, taken from the counts (:func:`ohg.pairwise._masks`) or, in the
+commands, from the trace (:func:`ohg.pairwise._verdicts`). The counts and
+the analyses read from them live apart, so that the commands that need only
 those do not load the table code: :func:`cotruth` and :func:`classify` in
 :mod:`ohg.pairwise`, :func:`gadget_scan` and :func:`gadget_profile` in
 :mod:`ohg.implications`. Those names, :func:`count_states` and the

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohg import engine, gadgets, model, states
+from ohg import engine, gadgets, model, pairwise, states
 from ohg.cli import _COMMANDS, _command, _read_args, main
 from ohg.commands._dot import _DOT_PALETTE
 from ohg.commands._parser import build_parser
@@ -273,6 +273,16 @@ class TestReconstruct:
         assert code == 1
         assert payload["verdicts"]["reconstruction"] == "extra-structure"
         assert (payload["extraContexts"], payload["missingContexts"]) == ([], missing)
+
+
+@pytest.mark.parametrize("command", ["classify", "reconstruct"])
+def test_verdicts_make_no_cotruth_count(capsys, bug_file, monkeypatch, command):
+    # the verdicts read two masks per vertex off the trace, not the counts
+    def refuse(*args):
+        raise AssertionError("a co-truth count was made")
+    monkeypatch.setattr(pairwise, "_true_counts", refuse)
+    code, out, _ = run(capsys, command, bug_file)
+    assert code == 0 and out
 
 
 class TestRowBudget:
@@ -646,6 +656,16 @@ class TestVerifyFor:
         code, out, _ = run(capsys, "verify-for", str(ohg_path), str(vec_path))
         assert code == 0 and "valid" in out
 
+    def test_orthogonal_but_not_adjacent(self, capsys, tmp_path):
+        ohg_path = tmp_path / "two.ohg"
+        ohg_path.write_text("a b c\nd e f\n")
+        vec_path = tmp_path / "two.vec"
+        vec_path.write_text("a: 1 0 0\nb: 0 1 0\nc: 0 0 1\n"
+                            "d: 1 0 0\ne: 0 1 0\nf: 0 0 1\n")
+        code, out, _ = run(capsys, "verify-for", str(ohg_path), str(vec_path))
+        assert code == 1
+        assert "orthogonal but not adjacent: a e |cos|=0.000e+00" in out.splitlines()
+
     def test_composed_hypergraph(self, capsys, tmp_path, bug_file):
         # its vertices are named ``g1:v2``, which the vector file must read back
         _, out, _ = run(capsys, "compose", "layer", bug_file, "--head", "v1", "--tail", "v7")
@@ -744,9 +764,9 @@ class TestErrors:
 ], ids=["states", "classify", "reconstruct", "chroma"])
 def test_long_chain(tmp_path, n, argv, line, address_space):
     # a chain nests the search once per context, 1,000 contexts far past
-    # Python's recursion limit; the verdicts fold the co-truth counts one row
-    # at a time, where all 1,201 x 1,201 counts of 600 contexts, ints of up
-    # to 418 bits, would not fit under the cap; the exact colouring keeps one
+    # Python's recursion limit; the verdicts read two masks per vertex off the
+    # trace, where all 1,201 x 1,201 co-truth counts of 600 contexts, ints of
+    # up to 418 bits, would not fit under the cap; the exact colouring keeps one
     # colouring and an undo trail, where a copy of both per level of 4,001
     # would not
     path = tmp_path / "chain.ohg"
@@ -757,18 +777,21 @@ def test_long_chain(tmp_path, n, argv, line, address_space):
     assert line in result.stdout.splitlines()
 
 
-@pytest.mark.parametrize("argv, lines", [
-    (("chroma",), ["1000"]),
+@pytest.mark.parametrize("argv, lines, address_space", [
+    (("chroma",), ["1000"], 100 * 2**20),
     (("classify",), ["nTS: 1000", "unital: yes", "separable: yes",
-                     "perfectly-separable: yes", "semi-perfect: yes"]),
-    (("reconstruct",), ["verdict: reconstructable"]),
+                     "perfectly-separable: yes", "semi-perfect: yes"], 100 * 2**20),
+    (("reconstruct",), ["verdict: reconstructable"], None),
 ], ids=["chroma", "classify", "reconstruct"])
-def test_wide_context(tmp_path, argv, lines):
+def test_wide_context(tmp_path, argv, lines, address_space):
     # the clique search nests once per member, 1,000 members far past
-    # Python's recursion limit
+    # Python's recursion limit; the exact colouring keeps no undo entry for
+    # its seeds, where the 499,500 entries of 1,000 seeds would not fit under
+    # the cap; reconstruct still spells out the 499,500 named edges of its
+    # adjacency graph, which would not either
     path = tmp_path / "wide.ohg"
     path.write_text(" ".join(f"v{i}" for i in range(1000)) + "\n")
-    result = run_ohg(argv[0], str(path), *argv[1:])
+    result = run_ohg(argv[0], str(path), *argv[1:], address_space=address_space)
     assert result.returncode == 0
     assert result.stderr == ""
     assert set(lines) <= set(result.stdout.splitlines())

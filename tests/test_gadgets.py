@@ -181,6 +181,12 @@ class TestLayer:
         for u, v in itertools.combinations(("a", "b", "c"), 2):
             assert not lay.adjacent(u, v)
 
+    @pytest.mark.parametrize("corners", [("a", "b", "g1:v2"), ("a", "a", "b")])
+    def test_corner_name_collision(self, bug, corners):
+        # a corner named like a renamed internal vertex, or like another corner
+        with pytest.raises(OhgError, match="vertex name collision while composing the layer"):
+            layer(BindSpec(bug, "v1", "v7"), corners)
+
     def test_at_most_one_corner_true(self, bug):
         lay = layer(BindSpec(bug, "v1", "v7"))
         t = states.enumerate_states(lay)
@@ -209,6 +215,16 @@ class TestBind:
     def test_bug_counts(self, bind_bug):
         assert len(bind_bug.vertices) == 9 * 13 - 9 == 108
         assert len(bind_bug.contexts) == 9 * 7 + 3 == 66
+
+    def test_internal_names_never_collide(self, bug):
+        # gadget vertices named like the corners and the renamed vertices:
+        # each copy prefixes its own with one of g1: ... g9:, and no corner
+        # starts with g
+        names = ["a", "b''", "g1:v2", "g9:a", *(f"g{i}:" for i in range(1, 10))]
+        rename = dict(zip(bug.vertices, names))
+        gadget = core.build([[rename[v] for v in c] for c in bug.contexts])
+        b = bind(BindSpec(gadget, rename["v1"], rename["v7"]))
+        assert (len(b.vertices), len(b.contexts)) == (9 * 13 - 9, 9 * 7 + 3)
 
     def test_fig4_counts(self, fig4):
         composed = bind(BindSpec(fig4, "a1", "a11"))

@@ -79,6 +79,21 @@ class TestVerify:
         })
         assert verify_for(h, labeling, tol=1e-9).ok
 
+    def test_disjoint_contexts_on_one_basis(self):
+        # each vector of one context is orthogonal to two of the other's,
+        # which share no context with it, and equal to the third
+        h = core.build([("a", "b", "c"), ("d", "e", "f")])
+        basis = K3_BASIS.vectors
+        labeling = VectorLabeling(3, {**basis, "d": basis["a"], "e": basis["b"],
+                                      "f": basis["c"]})
+        report = verify_for(h, labeling, tol=1e-9)
+        assert report.non_orthogonal_adjacent == ()
+        assert report.orthogonal_non_adjacent == tuple(
+            (u, v, 0.0) for u, v in [("a", "e"), ("a", "f"), ("b", "d"), ("b", "f"),
+                                     ("c", "d"), ("c", "e")])
+        assert report.colinear == (("a", "d", 1.0), ("b", "e", 1.0), ("c", "f", 1.0))
+        assert not report.ok
+
     def test_pentagon_cone_representation(self, pentagon):
         # corners sit on a cone with 144-degree steps, the apex angle tuned
         # so consecutive corners are orthogonal; midpoints are cross products

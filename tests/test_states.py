@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohg import core, engine, formats, gadgets, reconstruction, states
+from ohg import core, engine, formats, gadgets, pairwise, reconstruction, states
+from ohg.model import _bits
 from ohg.errors import (
     AllZeroColumnError,
     ColumnCountMismatchError,
@@ -30,10 +31,13 @@ from conftest import (
     engine_true_sets,
     random_pasting,
     random_rows,
+    shuffled,
 )
 
 # the 3-cycle of 2-element contexts admits no two-valued state at all
 CONTRADICTORY = [("a", "b"), ("b", "c"), ("a", "c")]
+# a or b true leaves the context of x and the other all false: neither ever is
+NEVER_TRUE = [("x", "a"), ("x", "b"), ("a", "b", "c")]
 
 # sha256 of repr(engine.search(h)), recorded with the recursive search
 TRACE_SHA256 = {
@@ -465,6 +469,65 @@ class TestCoTruth:
         renamed = {frozenset(rename[v] for v in s)
                    for s in engine_true_sets(states.enumerate_states(h))}
         assert engine_true_sets(states.enumerate_states(h2)) == renamed
+
+
+def _same_verdicts(h: core.Hypergraph) -> None:
+    """The masks of the two passes over the trace against those read off the
+    exact co-truth counts."""
+    c = pairwise.cotruth(h)
+    assert pairwise._verdicts(h) == (c.nts, *pairwise._masks(c.cooc))
+
+
+class TestVerdictPasses:
+    """:func:`ohg.pairwise._verdicts` against the co-truth counts."""
+
+    # A shuffled bind(fig4) is left out: in another order its search takes
+    # seconds, where the search in its own order takes milliseconds.
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from((2, 3, 4)),
+           copy=st.sampled_from((None, None, None, "bind(bug)", "fig4")))
+    @settings(max_examples=100, deadline=None)
+    def test_random(self, bind_bug, fig4, seed, size, copy):
+        rng = random.Random(seed)
+        if copy is None:
+            _same_verdicts(random_pasting(rng, size=size))
+        else:
+            _same_verdicts(shuffled({"bind(bug)": bind_bug, "fig4": fig4}[copy], rng))
+
+    @pytest.mark.parametrize("name", [
+        n for n in gadgets.FIXTURE_NAMES if gadgets.fixture(n).hypergraph
+    ])
+    def test_fixtures(self, name):
+        _same_verdicts(gadgets.fixture(name).hypergraph)
+
+    def test_compositions(self, bug, bind_bug, bind_fig4):
+        for h in (bind_bug, bind_fig4, gadgets.layer(gadgets.BindSpec(bug, "v1", "v7"))):
+            _same_verdicts(h)
+
+    def test_deep_traces(self):
+        _same_verdicts(formats.parse_ohg(chain(50)))
+        _same_verdicts(formats.parse_ohg(deep_trace(30)))
+
+    def test_true_throughout_a_sub_part(self):
+        # both nodes of the first component force w, which no node above it
+        # forces; p and q lie in the other component and imply w
+        h = core.build([("a", "b"), ("a", "x", "y"), ("b", "x", "z"), ("w", "x"),
+                        ("p", "q")])
+        _same_verdicts(h)
+        _, _, implied = pairwise._verdicts(h)
+        assert [h.vertices[v] for v in _bits(implied[h.index["p"]])] == ["w", "p"]
+
+    def test_no_state(self):
+        h = core.build(CONTRADICTORY)
+        _same_verdicts(h)
+        assert pairwise._verdicts(h) == (0, [0] * 3, [0b111] * 3)
+
+    def test_vertex_never_true(self):
+        h = core.build(NEVER_TRUE)
+        _same_verdicts(h)
+        # x and c are true together in the one state; a and b never are
+        assert h.vertices == ("x", "a", "b", "c")
+        assert pairwise._verdicts(h) == (1, [0b1001, 0, 0, 0b1001],
+                                         [0b1001, 0b1111, 0b1111, 0b1001])
 
 
 def _check_table_counts(k: int, n: int, fill: str, rng: random.Random) -> None:
